@@ -100,7 +100,9 @@ def build_document(
 
 
 def write_document(document: dict[str, Any], path: Path) -> None:
-    """Write a report document as stable, diff-friendly JSON."""
+    """Write a report document as stable, diff-friendly JSON, creating
+    missing parent directories."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 

@@ -155,6 +155,7 @@ class ClusterSimulation:
         self.telemetry = telemetry if telemetry is not None else NULL_SINK
         self.replication = replication
         self.router = router if router is not None else SingleOwnerRouter()
+        self._wait_metric = config.latency_metric == "wait"
 
         self.engine = Engine()
         factory = StreamFactory(config.seed)
@@ -346,14 +347,15 @@ class ClusterSimulation:
             return
         multiplier = state.next_cost_multiplier(self.config.move_cost.cold_multiplier)
         service_time = server.service_time(request, multiplier)
-        server.submit(request, multiplier, self._make_completion(server, service_time))
+        name = server.spec.name
+        server.submit(request, multiplier, self._complete, name, service_time)
         sink = self.telemetry
         if sink.enabled:
             sink.emit(
                 RequestDispatched(
                     time=self.engine.now,
                     fileset=request.fileset,
-                    server=server.name,
+                    server=name,
                     service_time=service_time,
                     router=self.router.name,
                     replica=slot,
@@ -399,28 +401,26 @@ class ClusterSimulation:
         )
         return candidates[index]
 
-    def _make_completion(self, server: MetadataServer, service_time: float):
-        def _on_complete(request: MetadataRequest) -> None:
-            response = request.complete(server.name, self.engine.now)
-            if self.config.latency_metric == "wait":
-                latency = max(response - service_time, 0.0)
-            else:
-                latency = response
-            if self.router.observes:
-                # Latency-learning routers get the same response-time
-                # signal the delegate tuner sees — never the true speed.
-                self.router.observe(server.name, response)
-            self.collector.record(server.name, self.engine.now, latency)
-            self.completed[server.name] = self.completed.get(server.name, 0) + 1
-            sink = self.telemetry
-            if sink.enabled:
-                sink.emit(
-                    RequestCompleted(
-                        time=self.engine.now, server=server.name, latency=latency
-                    )
-                )
-
-        return _on_complete
+    def _complete(
+        self, request: MetadataRequest, server: str, service_time: float
+    ) -> None:
+        """Completion of ``request`` on ``server`` (one bound method for
+        every request: the facility stores these arguments on the job)."""
+        now = self.engine._now
+        response = request.complete(server, now)
+        if self._wait_metric:
+            latency = max(response - service_time, 0.0)
+        else:
+            latency = response
+        if self.router.observes:
+            # Latency-learning routers get the same response-time
+            # signal the delegate tuner sees — never the true speed.
+            self.router.observe(server, response)
+        self.collector.record(server, now, latency)
+        self.completed[server] = self.completed.get(server, 0) + 1
+        sink = self.telemetry
+        if sink.enabled:
+            sink.emit(RequestCompleted(time=now, server=server, latency=latency))
 
     # ------------------------------------------------------------------
     # Tuning rounds (TuningHost protocol, driven by self.loop)
@@ -487,9 +487,6 @@ class ClusterSimulation:
         # Replica slots follow the new primary plan instantly: shared disk
         # means a replica-slot change is a routing-table update, not a move.
         self._refresh_replicas()
-
-    #: Backwards-compatible alias (pre-runtime name, used by older drivers).
-    _realize = realize
 
     def _on_move_done(
         self, state: FileSetState, drained: list[MetadataRequest]

@@ -11,6 +11,7 @@ file-set move.  Queueing is FIFO via :class:`repro.sim.resources.Facility`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..sim.engine import Engine
 from ..sim.resources import Facility
@@ -73,24 +74,33 @@ class MetadataServer:
 
     def service_time(self, request: MetadataRequest, multiplier: float = 1.0) -> float:
         """Seconds this server needs to serve ``request``."""
-        return request.cost * multiplier / self.speed
+        return request.cost * multiplier / (self.spec.speed * self.degradation)
 
     def submit(
         self,
         request: MetadataRequest,
         multiplier: float,
-        on_complete,
+        on_complete: Callable[..., None],
+        *args: Any,
     ) -> None:
-        """Enqueue ``request``; ``on_complete(request)`` fires at completion."""
+        """Enqueue ``request``; ``on_complete(request, *args)`` fires at
+        completion."""
         if not self.alive:
             raise RuntimeError(f"submit to dead server {self.name!r}")
         self.outstanding[request.rid] = request
+        self.facility.request(
+            self.service_time(request, multiplier),
+            self._complete, request, on_complete, *args,
+        )
 
-        def _done() -> None:
-            self.outstanding.pop(request.rid, None)
-            on_complete(request)
-
-        self.facility.request(self.service_time(request, multiplier), _done)
+    def _complete(
+        self,
+        request: MetadataRequest,
+        on_complete: Callable[..., None],
+        *args: Any,
+    ) -> None:
+        self.outstanding.pop(request.rid, None)
+        on_complete(request, *args)
 
     def fail(self) -> list[MetadataRequest]:
         """Crash: abort all queued/in-service work; returns the orphans."""

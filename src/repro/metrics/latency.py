@@ -12,14 +12,18 @@ server and produces:
   plots.
 
 Storage is columnar and window selection is bisection-based: each server
-keeps parallel completion-time/latency arrays, materialized as time-sorted
-NumPy vectors on first read and cached until the next append.  Windowed
-queries (:meth:`interval_report`, :meth:`percentile`) locate their
-``[start, end)`` slice with ``searchsorted`` instead of scanning the
-sample log, and :meth:`tail_summary` computes all four quantiles from one
-pooled pass instead of four re-pool/re-sort rounds.  Completion times in a
-discrete-event run arrive non-decreasing, so the sort is normally a no-op;
-out-of-order appends are detected and handled with one stable argsort.
+keeps parallel, append-only completion-time/latency lists, mirrored into
+NumPy buffers that grow by doubling.  A read converts only the samples
+appended since the previous read and returns views of the buffers' filled
+prefix, so a run that queries every tuning round converts each sample
+once instead of once per round.  Windowed queries (:meth:`interval_report`,
+:meth:`percentile`) locate their ``[start, end)`` slice with
+``searchsorted`` instead of scanning the sample log, and
+:meth:`tail_summary` computes all four quantiles from one pooled pass
+instead of four re-pool/re-sort rounds.  Completion times in a
+discrete-event run arrive non-decreasing, so the buffers are already
+time-sorted; once an append breaks that order the server's columns are
+rebuilt from the lists with one stable argsort per read instead.
 """
 
 from __future__ import annotations
@@ -34,6 +38,14 @@ from ..units import Seconds
 
 #: Shared empty column, returned for servers with no samples.
 _NO_SAMPLES = np.empty(0, dtype=float)
+
+
+def _grow(buffer: np.ndarray, filled: int, needed: int) -> np.ndarray:
+    """A buffer of at least ``needed`` slots (doubling) holding
+    ``buffer[:filled]``; views of the old buffer stay valid."""
+    grown = np.zeros(max(needed, 2 * len(buffer)), dtype=float)
+    grown[:filled] = buffer[:filled]
+    return grown
 
 
 @dataclass
@@ -78,7 +90,8 @@ class LatencyCollector:
 
     Samples live in per-server append-only columns (``_times`` /
     ``_latencies``); ``_columns`` materializes them as time-sorted NumPy
-    arrays, cached per server until more samples arrive.
+    arrays, cached per server until more samples arrive and extended
+    in place (``_buffers``) while samples arrive in time order.
     """
 
     _times: dict[str, list[float]] = field(default_factory=dict)
@@ -87,6 +100,11 @@ class LatencyCollector:
     _monotone: dict[str, bool] = field(default_factory=dict)
     #: server -> (sample count at build, sorted times, matching latencies).
     _sorted_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = field(
+        default_factory=dict
+    )
+    #: server -> (times, latencies) NumPy buffers whose filled prefix
+    #: mirrors the lists (monotone servers only).
+    _buffers: dict[str, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict
     )
 
@@ -103,9 +121,11 @@ class LatencyCollector:
         """Add one (completion time, latency) sample."""
         if latency < 0:
             raise ValueError(f"negative latency {latency!r}")
-        self.ensure_server(server)
-        times = self._times[server]
-        if times and completion_time < times[-1]:
+        times = self._times.get(server)
+        if times is None:
+            self.ensure_server(server)
+            times = self._times[server]
+        elif times and completion_time < times[-1]:
             self._monotone[server] = False
         times.append(float(completion_time))
         self._latencies[server].append(float(latency))
@@ -115,8 +135,10 @@ class LatencyCollector:
         """Time-sorted (times, latencies) arrays for ``server``, cached.
 
         The cache key is the sample count: appends invalidate, reads
-        reuse.  Ties keep insertion order (stable sort), preserving the
-        engine's deterministic completion order.
+        reuse.  In-order samples extend the server's buffers by the new
+        tail only; after an out-of-order append the arrays are rebuilt
+        with a stable argsort, so ties keep insertion order and preserve
+        the engine's deterministic completion order.
         """
         times = self._times.get(server)
         if not times:
@@ -125,9 +147,21 @@ class LatencyCollector:
         cached = self._sorted_cache.get(server)
         if cached is not None and cached[0] == count:
             return cached[1], cached[2]
-        t = np.asarray(times, dtype=float)
-        lat = np.asarray(self._latencies[server], dtype=float)
-        if not self._monotone.get(server, True):
+        latencies = self._latencies[server]
+        if self._monotone[server]:
+            built = 0 if cached is None else cached[0]
+            t_buf, lat_buf = self._buffers.get(server, (_NO_SAMPLES, _NO_SAMPLES))
+            if count > len(t_buf):
+                t_buf = _grow(t_buf, built, count)
+                lat_buf = _grow(lat_buf, built, count)
+                self._buffers[server] = (t_buf, lat_buf)
+            t_buf[built:count] = times[built:count]
+            lat_buf[built:count] = latencies[built:count]
+            t, lat = t_buf[:count], lat_buf[:count]
+        else:
+            self._buffers.pop(server, None)
+            t = np.asarray(times, dtype=float)
+            lat = np.asarray(latencies, dtype=float)
             order = np.argsort(t, kind="stable")
             t = t[order]
             lat = lat[order]

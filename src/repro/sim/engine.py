@@ -6,6 +6,11 @@ event calendar (binary heap).  Model code schedules callbacks with
 :meth:`Engine.schedule` / :meth:`Engine.schedule_at` and runs the simulation
 with :meth:`Engine.run`.
 
+The calendar is a binary heap of ``(time, priority, seq, event)`` tuples.
+``seq`` is a per-engine insertion counter, so every key is unique and
+``heapq`` orders entries by comparing floats and ints in C without ever
+reaching the :class:`~repro.sim.events.Event` handle in slot 3.
+
 Determinism: events at equal time fire in (priority, insertion order); all
 randomness in models must come from seeded generators (:mod:`repro.sim.rng`),
 so a simulation is a pure function of its configuration and seed.
@@ -21,7 +26,8 @@ heap (and every ``heappush`` after them) small.
 
 from __future__ import annotations
 
-import heapq
+import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from ..units import Seconds
@@ -31,14 +37,18 @@ from .events import PRIORITY_NORMAL, Event, SimulationError
 class Engine:
     """The simulation clock and event calendar."""
 
-    __slots__ = ("_now", "_calendar", "_running", "_events_fired", "_cancelled")
+    __slots__ = (
+        "_now", "_calendar", "_seq", "_running", "_events_fired", "_cancelled"
+    )
 
     #: Calendars smaller than this are never compacted (rebuild churn guard).
     _COMPACT_MIN = 64
 
     def __init__(self, start_time: Seconds = Seconds(0.0)) -> None:
         self._now = Seconds(float(start_time))
-        self._calendar: list[Event] = []
+        self._calendar: list[tuple[Seconds, int, int, Event]] = []
+        #: Insertion counter: the last tie-breaker of the calendar key.
+        self._seq = itertools.count()
         self._running = False
         self._events_fired = 0
         #: Cancelled events still sitting on the calendar.
@@ -89,10 +99,8 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at t={time!r} before now={self._now!r}"
             )
-        event = Event(
-            time=time, priority=priority, action=action, args=args, engine=self
-        )
-        heapq.heappush(self._calendar, event)
+        event = Event(time, action, args, self)
+        heappush(self._calendar, (time, priority, next(self._seq), event))
         return event
 
     # ------------------------------------------------------------------
@@ -100,17 +108,18 @@ class Engine:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the next non-cancelled event.  Returns False when empty."""
-        while self._calendar:
-            event = heapq.heappop(self._calendar)
+        calendar = self._calendar
+        while calendar:
+            time, _, _, event = heappop(calendar)
             if event.cancelled:
                 self._cancelled -= 1
                 continue
             # Detach before firing: a late cancel() on an already-fired
             # event must not perturb the live count.
             event.engine = None
-            self._now = event.time
+            self._now = time
             self._events_fired += 1
-            event.fire()
+            event.action(*event.args)
             return True
         return False
 
@@ -127,39 +136,36 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
+        # Compaction rebuilds the calendar in place, so this alias stays
+        # valid while callbacks cancel events.
+        calendar = self._calendar
+        horizon = float("inf") if until is None else until
+        limit = float("inf") if max_events is None else max_events
+        # Looked up once per run, on the instance, so a wrapper installed
+        # on the class beforehand still sees every fired event.
+        step = self.step
         fired = 0
         try:
-            while self._calendar:
-                if max_events is not None and fired >= max_events:
+            while calendar and fired < limit:
+                when, _, _, head = calendar[0]
+                if head.cancelled:
+                    heappop(calendar)
+                    self._cancelled -= 1
+                    continue
+                if when > horizon:
                     break
-                nxt = self._peek()
-                if nxt is None:
-                    break
-                if until is not None and nxt.time > until:
-                    break
-                if self.step():
-                    fired += 1
+                step()
+                fired += 1
             if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
         return self._now
 
-    def _peek(self) -> Event | None:
-        """Next live event without popping it (drops cancelled heads)."""
-        while self._calendar:
-            head = self._calendar[0]
-            if head.cancelled:
-                heapq.heappop(self._calendar)
-                self._cancelled -= 1
-                continue
-            return head
-        return None
-
     def drain(self) -> None:
         """Discard all pending events (used by tests and teardown)."""
-        for event in self._calendar:
-            event.engine = None
+        for entry in self._calendar:
+            entry[3].engine = None
         self._calendar.clear()
         self._cancelled = 0
 
@@ -178,9 +184,11 @@ class Engine:
 
         O(live) — amortized constant per cancellation, since a compaction
         at least halves the calendar and resets the cancelled count.
-        Safe at any point outside :func:`heapq` calls: events carry a
-        total order, so ``heapify`` restores the exact pop sequence.
+        Safe at any point outside :func:`heapq` calls: calendar keys are
+        unique, so ``heapify`` restores the exact pop sequence.  The list
+        is rebuilt in place, keeping aliases such as :meth:`run`'s valid.
         """
-        self._calendar = [e for e in self._calendar if not e.cancelled]
-        heapq.heapify(self._calendar)
+        calendar = self._calendar
+        calendar[:] = [entry for entry in calendar if not entry[3].cancelled]
+        heapify(calendar)
         self._cancelled = 0

@@ -1,10 +1,13 @@
 """Event primitives for the discrete-event simulation engine.
 
-The engine (:mod:`repro.sim.engine`) schedules :class:`Event` objects on a
-calendar (a binary heap).  Events carry a callback and arbitrary positional
-arguments; ties in simulated time are broken first by an integer ``priority``
-(lower fires first) and then by insertion order, so the simulation is fully
-deterministic for a fixed seed.
+The engine (:mod:`repro.sim.engine`) keeps its calendar as a binary heap of
+``(time, priority, seq, event)`` tuples, so ``heapq`` orders entries by
+comparing plain floats and ints in C.  Ties in simulated time are broken
+first by the integer ``priority`` (lower fires first) and then by ``seq``,
+the engine's insertion counter, so the simulation is fully deterministic
+for a fixed seed.  Because ``seq`` is unique the :class:`Event` itself is
+never compared: it is only the handle a caller holds to cancel the
+callback, and it carries no ordering of its own.
 
 This module is the bottom layer of our YACSIM substitute (see DESIGN.md §2):
 YACSIM's "event" and "activity" notions map to :class:`Event` plus the
@@ -13,8 +16,6 @@ process layer in :mod:`repro.sim.process`.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..units import Seconds
@@ -30,32 +31,32 @@ PRIORITY_EARLY = -10
 PRIORITY_LATE = 10
 
 
-_EVENT_COUNTER = itertools.count()
-
-
-@dataclass(order=True, slots=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback: ``action(*args)`` at simulated ``time``.
 
-    Events are ordered by ``(time, priority, seq)``; ``seq`` is a global
-    monotone counter assigned at construction, making the ordering total and
-    deterministic.
+    The calendar key ``(time, priority, seq)`` lives in the engine's heap
+    entry, not here; the event holds only what firing and cancelling need.
     """
 
-    time: Seconds
-    priority: int
-    seq: int = field(init=False)
-    action: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    #: Back-reference to the owning engine (set at scheduling time, cleared
-    #: when the event leaves the calendar) so cancellation is accounted for
-    #: in O(1) without scanning the heap.  Duck-typed to avoid a circular
-    #: import; anything with a ``_note_cancelled()`` method works.
-    engine: Any = field(compare=False, default=None, repr=False)
+    __slots__ = ("time", "action", "args", "cancelled", "engine")
 
-    def __post_init__(self) -> None:
-        self.seq = next(_EVENT_COUNTER)
+    def __init__(
+        self,
+        time: Seconds,
+        action: Callable[..., None],
+        args: tuple[Any, ...],
+        engine: Any,
+    ) -> None:
+        self.time = time
+        self.action = action
+        self.args = args
+        self.cancelled = False
+        #: Back-reference to the owning engine (set at scheduling time,
+        #: cleared when the event leaves the calendar) so cancellation is
+        #: accounted for in O(1) without scanning the heap.  Duck-typed to
+        #: avoid a circular import; anything with a ``_note_cancelled()``
+        #: method works.
+        self.engine = engine
 
     def cancel(self) -> None:
         """Mark the event as cancelled; the engine skips it when popped.
@@ -71,13 +72,9 @@ class Event:
         if self.engine is not None:
             self.engine._note_cancelled()
 
-    def fire(self) -> None:
-        """Invoke the callback (engine-internal)."""
-        self.action(*self.args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.action, "__qualname__", repr(self.action))
-        return f"Event(t={self.time:.6g}, prio={self.priority}, {name})"
+        return f"Event(t={self.time:.6g}, {name})"
 
 
 class SimulationError(RuntimeError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from .engine import Engine
 from .events import SimulationError
@@ -64,14 +64,16 @@ class Monitor:
 class _Job:
     arrival: float
     service_time: float
-    on_complete: Callable[[], None] | None = None
+    on_complete: Callable[..., None] | None = None
+    #: Positional arguments for ``on_complete`` (no per-job closure).
+    args: tuple[Any, ...] = ()
 
 
 class Facility:
     """A single-server FIFO queueing station.
 
-    ``request(service_time, on_complete)`` enqueues a job.  When the job
-    finishes service, ``on_complete()`` is invoked.  Service is
+    ``request(service_time, on_complete, *args)`` enqueues a job.  When the
+    job finishes service, ``on_complete(*args)`` is invoked.  Service is
     non-preemptive.  The facility can be drained/paused for modelling
     failures via :meth:`pause` / :meth:`resume_service`.
     """
@@ -97,15 +99,18 @@ class Facility:
 
     # ------------------------------------------------------------------
     def request(
-        self, service_time: float, on_complete: Callable[[], None] | None = None
+        self,
+        service_time: float,
+        on_complete: Callable[..., None] | None = None,
+        *args: Any,
     ) -> None:
-        """Enqueue a job requiring ``service_time`` seconds of service."""
+        """Enqueue a job requiring ``service_time`` seconds of service;
+        ``on_complete(*args)`` fires when it finishes."""
         if service_time < 0:
             raise SimulationError(f"negative service time {service_time!r}")
-        job = _Job(arrival=self.engine.now, service_time=service_time,
-                   on_complete=on_complete)
-        self._queue.append(job)
-        self.monitor.record_queue_change(self.engine.now, self.queue_length)
+        now = self.engine._now
+        self._queue.append(_Job(now, service_time, on_complete, args))
+        self.monitor.record_queue_change(now, self.queue_length)
         self._try_start()
 
     def pause(self) -> None:
@@ -142,20 +147,23 @@ class Facility:
             return
         job = self._queue.popleft()
         self._in_service = job
-        wait = self.engine.now - job.arrival
-        self.monitor.total_wait += wait
-        self._service_event = self.engine.schedule(job.service_time, self._finish, job)
+        now = self.engine._now
+        self.monitor.total_wait += now - job.arrival
+        self._service_event = self.engine.schedule_at(
+            now + job.service_time, self._finish, job
+        )
 
     def _finish(self, job: _Job) -> None:
         assert self._in_service is job
         self._in_service = None
         self._service_event = None
+        now = self.engine._now
         mon = self.monitor
         mon.jobs_completed += 1
         mon.total_service += job.service_time
         mon.busy_time += job.service_time
-        mon.total_sojourn += self.engine.now - job.arrival
-        mon.record_queue_change(self.engine.now, self.queue_length)
+        mon.total_sojourn += now - job.arrival
+        mon.record_queue_change(now, len(self._queue))
         if job.on_complete is not None:
-            job.on_complete()
+            job.on_complete(*job.args)
         self._try_start()

@@ -13,18 +13,21 @@ loop.  Traces round-trip through ``.npz`` files for reuse across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from ..sim.rng import StreamFactory
 
+#: Rows converted per batch by :meth:`Trace.records`: large enough that the
+#: per-batch ``tolist`` calls vanish, small enough that the Python-object
+#: copy of the columns stays a few hundred KB however long the trace.
+RECORD_CHUNK = 4096
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One metadata request."""
+
+class TraceRecord(NamedTuple):
+    """One metadata request (immutable)."""
 
     time: float
     fileset: str
@@ -76,10 +79,23 @@ class Trace:
         return len(self.fileset_names)
 
     def records(self) -> Iterator[TraceRecord]:
-        """Lazy per-record view in time order."""
+        """Lazy per-record view in time order.
+
+        Columns are converted to Python objects ``RECORD_CHUNK`` rows at a
+        time with ``tolist`` (exact for float64 and int64), and each record
+        is built straight from its row tuple.
+        """
         names = self.fileset_names
-        for t, f, c in zip(self.times, self.fileset_ids, self.costs):
-            yield TraceRecord(time=float(t), fileset=names[int(f)], cost=float(c))
+        make = tuple.__new__
+        for lo in range(0, len(self), RECORD_CHUNK):
+            hi = lo + RECORD_CHUNK
+            rows = zip(
+                self.times[lo:hi].tolist(),
+                [names[i] for i in self.fileset_ids[lo:hi].tolist()],
+                self.costs[lo:hi].tolist(),
+            )
+            for row in rows:
+                yield make(TraceRecord, row)
 
     # ------------------------------------------------------------------
     # Aggregations (vectorized)

@@ -323,6 +323,14 @@ def test_cli_writes_reports_and_skips_gate_without_baseline(
     assert len(document["results"]) == 4
 
 
+def test_cli_creates_missing_output_dir(fake_repo: Path, capsys):
+    out_dir = fake_repo / "reports" / "nested"
+    assert not out_dir.exists()
+    assert cli(fake_repo, "--output-dir", str(out_dir)) == 0
+    assert load_document(out_dir / "BENCH_toy.json")["suite"] == "toy"
+    assert str(out_dir / "BENCH_toy.json") in capsys.readouterr().out
+
+
 def test_cli_update_baseline_then_gate_passes(fake_repo: Path, capsys):
     assert cli(fake_repo, "--update-baseline") == 0
     baseline_path = fake_repo / "benchmarks" / "baselines" / "BENCH_toy.json"

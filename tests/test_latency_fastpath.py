@@ -153,3 +153,88 @@ def test_percentile_returns_zero_seconds_on_empty_pools():
     assert collector.tail_summary() == {
         "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0,
     }
+
+
+# ----------------------------------------------------------------------
+# Incremental columns
+# ----------------------------------------------------------------------
+_COLUMN_OPS = st.one_of(
+    st.tuples(
+        st.just("record"),
+        st.sampled_from(["a", "b", "late"]),
+        st.sampled_from([0.0, 0.0, 0.25, 1.0, 7.5]),
+        latencies,
+    ),
+    # Completion time behind the server's last sample: the argsort path.
+    st.tuples(st.just("record-back"), st.sampled_from(["a", "b"]), latencies),
+    st.tuples(st.just("ensure"), st.sampled_from(["late", "idle"])),
+    st.tuples(
+        st.just("query"),
+        st.sampled_from(["report", "percentile", "series", "tail"]),
+        st.tuples(finite_times, finite_times),
+    ),
+)
+
+
+def rebuilt_columns(pairs: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """From-scratch columns: convert everything, stable-sort by time."""
+    t = np.asarray([p[0] for p in pairs], dtype=float)
+    lat = np.asarray([p[1] for p in pairs], dtype=float)
+    order = np.argsort(t, kind="stable")
+    return t[order], lat[order]
+
+
+def query(collector: LatencyCollector, kind: str, window, servers) -> list:
+    start, end = sorted(window)
+    if kind == "report":
+        return [collector.reports(servers, start, end)]
+    if kind == "percentile":
+        return [collector.percentile(95.0, s, start, end) for s in [None, *servers]]
+    if kind == "series":
+        series = collector.series(max(end, 1.0), max(end - start, 0.5))
+        return [
+            (s, series.mean_latency[s].tobytes(), series.counts[s].tobytes())
+            for s in series.servers
+        ]
+    return [collector.tail_summary(s) for s in [None, *servers]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_COLUMN_OPS, max_size=80))
+def test_incremental_columns_equal_from_scratch_rebuild(ops):
+    collector = LatencyCollector()
+    collector.ensure_server("a")
+    collector.ensure_server("b")
+    samples: dict[str, list[tuple[float, float]]] = {"a": [], "b": []}
+    clock = 0.0
+    for op in ops:
+        if op[0] == "record":
+            _, server, step, lat = op
+            clock += step
+            collector.record(server, clock, lat)
+            samples.setdefault(server, []).append((clock, lat))
+        elif op[0] == "record-back":
+            _, server, lat = op
+            t = max(clock - 3.0, 0.0)
+            collector.record(server, t, lat)
+            samples[server].append((t, lat))
+        elif op[0] == "ensure":
+            collector.ensure_server(op[1])
+            samples.setdefault(op[1], [])
+        else:
+            _, kind, window = op
+            servers = sorted(samples)
+            fresh = build_collector(samples)
+            assert query(collector, kind, window, servers) == query(
+                fresh, kind, window, servers
+            )
+            assert_columns_rebuilt(collector, samples)
+    assert_columns_rebuilt(collector, samples)
+
+
+def assert_columns_rebuilt(collector, samples) -> None:
+    for server, pairs in samples.items():
+        t, lat = collector._columns(server)
+        want_t, want_lat = rebuilt_columns(pairs)
+        assert t.tobytes() == want_t.tobytes()
+        assert lat.tobytes() == want_lat.tobytes()

@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Engine, SimulationError
-from repro.sim.events import PRIORITY_EARLY, PRIORITY_LATE
+from repro.sim import Engine, Facility, SimulationError
+from repro.sim.events import PRIORITY_EARLY, PRIORITY_LATE, PRIORITY_NORMAL
 
 
 def test_schedule_and_run_fires_in_time_order():
@@ -225,3 +227,167 @@ def test_engine_not_reentrant():
     engine.schedule(1.0, reenter)
     engine.run()
     assert len(errors) == 1
+
+
+# ----------------------------------------------------------------------
+# Calendar order against a sorted reference model
+# ----------------------------------------------------------------------
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 4.0])
+_PRIORITIES = st.sampled_from([PRIORITY_EARLY, PRIORITY_NORMAL, PRIORITY_LATE])
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, _PRIORITIES),
+    st.tuples(st.just("schedule_at"), _DELAYS, _PRIORITIES),
+    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+    # A burst of far-future events, almost all cancelled at once: enough
+    # corpses to cross the compaction threshold mid-sequence.
+    st.tuples(st.just("burst"), st.integers(64, 130), st.integers(1, 4)),
+    # The same, but the cancels come from a callback, compacting the
+    # calendar while run() is popping it.
+    st.tuples(st.just("burst-in-run"), st.integers(64, 130), st.integers(1, 4)),
+    st.tuples(
+        st.just("run"),
+        st.one_of(st.none(), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0])),
+        st.one_of(st.none(), st.integers(0, 6)),
+    ),
+)
+
+
+class _ReferenceCalendar:
+    """Entries ``[time, priority, seq, label, state]`` fired by sorting."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.entries: list[list] = []
+        #: label -> labels its callback cancels when it fires.
+        self.cancels_on_fire: dict[int, list[int]] = {}
+
+    def add(self, time: float, priority: int) -> int:
+        label = len(self.entries)
+        self.entries.append([time, priority, label, label, "live"])
+        return label
+
+    def cancel(self, label: int) -> None:
+        if self.entries[label][4] == "live":
+            self.entries[label][4] = "cancelled"
+
+    @property
+    def pending(self) -> int:
+        return sum(1 for e in self.entries if e[4] == "live")
+
+    def run(self, until, max_events) -> list[int]:
+        fired = []
+        # Callbacks only cancel, never add: one sort, skipping entries a
+        # fired callback cancelled.
+        for entry in sorted(e for e in self.entries if e[4] == "live"):
+            if entry[4] != "live":
+                continue
+            if max_events is not None and len(fired) >= max_events:
+                break
+            if until is not None and entry[0] > until:
+                break
+            entry[4] = "fired"
+            self.now = entry[0]
+            fired.append(entry[3])
+            for label in self.cancels_on_fire.get(entry[3], ()):
+                self.cancel(label)
+        if until is not None and self.now < until:
+            self.now = until
+        return fired
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_OPS, max_size=40))
+def test_calendar_fires_in_reference_key_order(ops):
+    engine = Engine()
+    model = _ReferenceCalendar()
+    fired: list[int] = []
+    handles = []
+
+    def cancel_all(label, doomed):
+        fired.append(label)
+        for handle in doomed:
+            handle.cancel()
+
+    def add(kind, delay, priority):
+        label = model.add(model.now + delay, priority)
+        if kind == "schedule":
+            handle = engine.schedule(delay, fired.append, label, priority=priority)
+        else:
+            handle = engine.schedule_at(
+                engine.now + delay, fired.append, label, priority=priority
+            )
+        handles.append(handle)
+
+    for op in ops:
+        if op[0] in ("schedule", "schedule_at"):
+            add(*op)
+        elif op[0] == "cancel":
+            if handles:
+                label = op[1] % len(handles)
+                handles[label].cancel()
+                model.cancel(label)
+        elif op[0] in ("burst", "burst-in-run"):
+            _, size, keep_every = op
+            first = len(handles)
+            for i in range(size):
+                add("schedule", 100.0 + (i % 7), PRIORITY_NORMAL)
+            doomed = [
+                label
+                for label in range(first, first + size)
+                if (label - first) % (keep_every * 16)
+            ]
+            if op[0] == "burst":
+                for label in doomed:
+                    handles[label].cancel()
+                    model.cancel(label)
+            else:
+                trigger = model.add(model.now + 0.5, PRIORITY_NORMAL)
+                model.cancels_on_fire[trigger] = doomed
+                targets = [handles[label] for label in doomed]
+                handles.append(engine.schedule(0.5, cancel_all, trigger, targets))
+        else:
+            _, offset, max_events = op
+            until = None if offset is None else engine.now + offset
+            before = len(fired)
+            engine.run(until=until, max_events=max_events)
+            assert fired[before:] == model.run(until, max_events)
+        assert engine.now == model.now
+        assert engine.pending == model.pending
+    before = len(fired)
+    engine.run()
+    assert fired[before:] == model.run(None, None)
+    assert engine.pending == 0
+    assert engine.events_fired == len(fired)
+
+
+def test_class_level_wrappers_see_every_event_and_push(monkeypatch):
+    steps = []
+    pushes = []
+    original_step = Engine.step
+    original_schedule_at = Engine.schedule_at
+
+    def step(self):
+        fired = original_step(self)
+        steps.append(fired)
+        return fired
+
+    def schedule_at(self, time, action, *args, **kwargs):
+        pushes.append(time)
+        return original_schedule_at(self, time, action, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "step", step)
+    monkeypatch.setattr(Engine, "schedule_at", schedule_at)
+    engine = Engine()
+    facility = Facility(engine)
+    done = []
+    for i in range(5):
+        engine.schedule(float(i), facility.request, 1.5, done.append, i)
+    engine.schedule_at(2.0, lambda: None, priority=PRIORITY_LATE).cancel()
+    engine.run(until=3.0)
+    engine.run()
+    assert done == [0, 1, 2, 3, 4]
+    # 5 arrivals + 5 service completions fired; those plus the cancelled
+    # guard were pushed, every one through schedule_at.
+    assert steps == [True] * 10
+    assert engine.events_fired == 10
+    assert len(pushes) == 11

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.trace import Trace, TraceRecord
+from repro.workloads.trace import RECORD_CHUNK, Trace, TraceRecord
 
 
 def small_trace() -> Trace:
@@ -41,6 +41,28 @@ def test_records_in_order():
     recs = list(t.records())
     assert [r.fileset for r in recs] == ["fsA", "fsB", "fsA", "fsC", "fsB"]
     assert recs[0] == TraceRecord(time=0.0, fileset="fsA", cost=0.1)
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, RECORD_CHUNK - 1, RECORD_CHUNK, RECORD_CHUNK + 1]
+)
+def test_records_match_per_element_reference_at_chunk_boundaries(rows):
+    rng = np.random.default_rng(rows)
+    names = ["fsA", "fsB", "fsC"]
+    t = Trace(
+        times=np.sort(rng.random(rows) * 100.0),
+        fileset_ids=rng.integers(0, len(names), rows),
+        costs=rng.random(rows),
+        fileset_names=names,
+        duration=100.0,
+    )
+    want = [
+        TraceRecord(time=float(a), fileset=names[int(f)], cost=float(c))
+        for a, f, c in zip(t.times, t.fileset_ids, t.costs)
+    ]
+    got = list(t.records())
+    assert got == want
+    assert all(type(r.time) is float and type(r.cost) is float for r in got)
 
 
 def test_window_slicing():
