@@ -47,7 +47,7 @@ def main() -> None:
 
     print(f"\ncompleted: {result.ops_completed}, failed: {result.ops_failed}")
     print(f"tuning rounds: {result.tuning_rounds}, "
-          f"file-set images moved over the shared disk: {result.moves}")
+          f"file-set images moved over the shared disk: {result.moves_completed}")
 
     print("\nper-server steady state (last 10 minutes):")
     for server in result.series.servers:

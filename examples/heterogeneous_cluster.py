@@ -11,7 +11,7 @@ benchmarks) for the full published scale.
 
 from repro import ClusterConfig, ClusterSimulation, SyntheticConfig, generate_synthetic, paper_servers
 from repro.experiments import comparison_table, series_block
-from repro.experiments.runner import make_policy, run_policy
+from repro.experiments.runner import run_policy
 
 POLICIES = ("simple-random", "round-robin", "prescient", "anu")
 

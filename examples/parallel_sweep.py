@@ -26,7 +26,7 @@ from repro.sweep import GridSpec, run_sweep
 
 # Two policies x six seeds = 12 cells, each a quick-sized simulation.
 SPEC = GridSpec(
-    axes={"policy": ["anu", "random"]},
+    axes={"policy": ["anu", "simple-random"]},
     seeds=range(6),
     base={
         "n_filesets": 12,
@@ -86,7 +86,7 @@ def main() -> None:
         print(f"\nper-policy mean latency over {len(SPEC.seeds)} seeds:")
         for policy, latencies in sorted(by_policy.items()):
             mean = sum(latencies) / len(latencies)
-            print(f"  {policy:12s} {mean:8.3f}")
+            print(f"  {policy:14s} {mean:8.3f}")
 
 
 if __name__ == "__main__":

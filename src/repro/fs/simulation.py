@@ -93,8 +93,7 @@ class FullSystemResult(SimResult):
     """The timed harness's :class:`SimResult`, plus the live namespace.
 
     ``total_requests`` counts operations *served* (including failed
-    executions); the legacy ``ops_completed``/``moves`` accessors keep the
-    old result schema working.
+    executions); ``ops_completed`` derives the successful ones from it.
     """
 
     cluster: MetadataCluster | None = None
@@ -105,11 +104,6 @@ class FullSystemResult(SimResult):
     def ops_completed(self) -> int:
         """Operations that executed successfully."""
         return self.total_requests - self.ops_failed
-
-    @property
-    def moves(self) -> int:
-        """Completed shared-disk image transfers (legacy name)."""
-        return self.moves_completed
 
 
 class FullSystemSimulation:

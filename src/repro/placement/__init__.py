@@ -10,6 +10,9 @@
 - :class:`~repro.placement.replicated.ReplicatedPolicy` — r-way owner-set
   wrapper over any of the above (the assignment plane of the two-plane
   placement split; see :mod:`repro.runtime.routing` for the other plane).
+
+Runners resolve policy *names* through :mod:`repro.placement.registry`,
+the one name → configured-policy table.
 """
 
 from .anu_policy import ANUPolicy, DecentralizedANUPolicy

@@ -4,8 +4,8 @@ The paper evaluated ANU randomization with a simulator written on YACSIM, a
 C discrete-event toolkit.  This subpackage is a from-scratch Python
 equivalent providing the pieces the paper's simulator needs:
 
-- :class:`~repro.sim.engine.Engine` — clock + event calendar;
-- :class:`~repro.sim.process.Process` — YACSIM-style sequential processes;
+- :class:`~repro.sim.engine.Engine` — clock + event calendar; every
+  simulated component is callback-driven off it;
 - :class:`~repro.sim.resources.Facility` — FIFO single-server queue with
   statistics (:class:`~repro.sim.resources.Monitor`);
 - :class:`~repro.sim.rng.StreamFactory` — named, independent random streams.
@@ -19,7 +19,6 @@ from .events import (
     Event,
     SimulationError,
 )
-from .process import Condition, Process, all_of
 from .resources import Facility, Monitor
 from .rng import StreamFactory, exponential, uniform
 
@@ -30,9 +29,6 @@ __all__ = [
     "PRIORITY_EARLY",
     "PRIORITY_LATE",
     "PRIORITY_NORMAL",
-    "Condition",
-    "Process",
-    "all_of",
     "Facility",
     "Monitor",
     "StreamFactory",

@@ -10,8 +10,8 @@ never compared: it is only the handle a caller holds to cancel the
 callback, and it carries no ordering of its own.
 
 This module is the bottom layer of our YACSIM substitute (see DESIGN.md §2):
-YACSIM's "event" and "activity" notions map to :class:`Event` plus the
-process layer in :mod:`repro.sim.process`.
+YACSIM's "event" and "activity" notions both map to a scheduled callback,
+whose :class:`Event` handle is defined here.
 """
 
 from __future__ import annotations

@@ -25,14 +25,9 @@ from typing import Callable, Mapping
 
 from ..cluster.cluster import RunResult, paper_servers
 from ..membership.faults import FaultSchedule
-from ..placement.anu_policy import ANUPolicy
 from ..placement.base import PlacementPolicy
-from ..placement.consistent_hash import ConsistentHashPolicy
-from ..placement.prescient import PrescientPolicy
-from ..placement.round_robin import RoundRobinPolicy
+from ..placement.registry import available_policies, granted_policy
 from ..placement.replicated import ReplicatedPolicy
-from ..placement.simple_random import SimpleRandomPolicy
-from ..placement.two_choice import TwoChoicePolicy
 from ..runtime.routing import ROUTER_FACTORIES
 from ..runtime.scenario import Scenario
 from ..runtime.telemetry import DigestSink
@@ -41,20 +36,9 @@ from .api import clear_process_caches, worker_entry
 
 __all__ = [
     "LIMP_SCHEDULES",
-    "POLICY_FACTORIES",
     "pool_initializer",
     "run_cell",
 ]
-
-#: Policy-zoo registry: sweep axis value -> fresh-policy factory.
-POLICY_FACTORIES: dict[str, Callable[[], PlacementPolicy]] = {
-    "anu": ANUPolicy,
-    "random": SimpleRandomPolicy,
-    "round-robin": RoundRobinPolicy,
-    "two-choice": TwoChoicePolicy,
-    "prescient": PrescientPolicy,
-    "consistent-hash": ConsistentHashPolicy,
-}
 
 
 def pool_initializer() -> None:
@@ -113,7 +97,7 @@ def _scenario_for(seed: int, params: Mapping[str, object]) -> Scenario:
     """Build the cell's scenario from its (seed, params) description.
 
     Everything is derived from the payload: the trace from the cell
-    seed, the policy fresh from its registered factory.  Unknown
+    seed, the policy fresh from :mod:`repro.placement.registry`.  Unknown
     parameter names are rejected so a typo in a grid axis fails the
     whole sweep loudly instead of silently running defaults.
     """
@@ -132,13 +116,11 @@ def _scenario_for(seed: int, params: Mapping[str, object]) -> Scenario:
     if unknown:
         raise ValueError(f"unknown sweep parameter(s): {', '.join(unknown)}")
     policy_name = str(params.get("policy", "anu"))
-    try:
-        factory = POLICY_FACTORIES[policy_name]
-    except KeyError:
+    if policy_name not in available_policies():
         raise ValueError(
             f"unknown policy {policy_name!r}; known: "
-            f"{', '.join(sorted(POLICY_FACTORIES))}"
-        ) from None
+            f"{', '.join(available_policies())}"
+        )
     limp_name = str(params.get("limp", "none"))
     try:
         limp_factory = LIMP_SCHEDULES[limp_name]
@@ -158,18 +140,14 @@ def _scenario_for(seed: int, params: Mapping[str, object]) -> Scenario:
             seed=seed,
         )
     )
-    if policy_name == "prescient":
-        # The prescient comparator needs its oracle granted up front:
-        # the *nominal* server speeds (perfect static knowledge — gray
-        # failures stay invisible even to the oracle, which is the
-        # point of the limp axis) and the first interval's demand.
-        nominal = {s.name: s.speed for s in paper_servers()}
-        first_demand = trace.demand_by_fileset(0.0, tuning_interval)
+    servers = paper_servers()
+    # Knowledge-granted policies see the *nominal* server speeds (perfect
+    # static knowledge — gray failures stay invisible even to the
+    # prescient oracle, which is the point of the limp axis).
+    nominal = {s.name: s.speed for s in servers}
 
-        def factory() -> PlacementPolicy:
-            policy = PrescientPolicy()
-            policy.grant_oracle(nominal, first_demand)
-            return policy
+    def factory() -> PlacementPolicy:
+        return granted_policy(policy_name, nominal, trace, tuning_interval)
 
     replication = int(params.get("r", 1))
     router = str(params.get("router", "single"))
@@ -187,7 +165,7 @@ def _scenario_for(seed: int, params: Mapping[str, object]) -> Scenario:
             return ReplicatedPolicy(base_factory(), replication)
 
     return Scenario(
-        servers=paper_servers(),
+        servers=servers,
         trace=trace,
         policy=factory,
         faults=limp_factory(duration) if limp_factory is not None else None,

@@ -124,7 +124,7 @@ def full_system_golden(result) -> dict:
     return {
         "ops_completed": result.ops_completed,
         "ops_failed": result.ops_failed,
-        "moves": result.moves,
+        "moves": result.moves_completed,
         "tuning_rounds": result.tuning_rounds,
         "ownership": result.cluster.ownership(),
         "shares": result.cluster.placement.shares(),

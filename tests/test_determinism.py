@@ -104,26 +104,25 @@ def test_full_system_simulation_replays_bit_identically():
     b = _run_full_system_once(seed=11)
     assert a.ops_completed == b.ops_completed
     assert a.ops_failed == b.ops_failed
-    assert a.moves == b.moves
+    assert a.moves_completed == b.moves_completed
     assert a.tuning_rounds == b.tuning_rounds
     assert a.cluster.ownership() == b.cluster.ownership()
     assert a.cluster.placement.shares() == b.cluster.placement.shares()
     assert _series_fingerprint(a.series) == _series_fingerprint(b.series)
 
 
-def test_tuning_context_rng_fallback_is_deprecated():
-    """Omitting rng warns loudly (the old silent seed-0 default trap)."""
+def test_tuning_context_requires_rng():
+    """Omitting rng is a TypeError (no silent seed-0 default stream)."""
     import warnings
 
     import pytest
 
     from repro.placement.base import TuningContext
 
-    with pytest.warns(DeprecationWarning, match="explicit rng"):
-        ctx = TuningContext(
+    with pytest.raises(TypeError, match="rng"):
+        TuningContext(
             time=0.0, filesets=[], servers=["s0"], assignment={}, reports=[]
         )
-    assert ctx.rng is not None  # the fallback still works, just loudly
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an explicit rng must stay silent
         TuningContext(

@@ -68,7 +68,7 @@ def test_tuning_happens_and_moves_images():
     sim = make_sim(ops)
     result = sim.run()
     assert result.tuning_rounds >= 10
-    assert result.moves > 0
+    assert result.moves_completed > 0
 
 
 def test_final_state_equals_untimed_replay():
@@ -104,7 +104,7 @@ def test_deterministic_replay():
     ops = make_ops()
     r1 = make_sim(ops).run()
     r2 = make_sim(make_ops()).run()
-    assert r1.moves == r2.moves
+    assert r1.moves_completed == r2.moves_completed
     assert r1.ops_completed == r2.ops_completed
     for s in r1.series.servers:
         assert list(r1.series.counts[s]) == list(r2.series.counts[s])
@@ -126,4 +126,4 @@ def test_empty_operation_stream():
     sim = make_sim([])
     result = sim.run()
     assert result.ops_completed == 0
-    assert result.moves == 0
+    assert result.moves_completed == 0

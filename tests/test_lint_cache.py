@@ -85,23 +85,21 @@ def test_cache_file_is_versioned(tmp_path):
     assert fresh._data["per_file"] == {}
 
 
-def test_benchmark_guard_warm_full_tree_run(tmp_path):
-    """Issue acceptance: a warm cached full-tree run stays interactive.
+def test_benchmark_guard_warm_full_tree_run(cold_full_tree_lint):
+    """A warm cached full-tree run stays interactive.
 
-    The cold run (parse + whole-program analysis over all of src/) pays
-    the real cost and primes the cache; the warm run should be pure
-    hashing + lookups.  The 5 s ceiling is deliberately loose for slow
-    CI machines — locally this is well under 2 s.
+    The session's cold run (parse + whole-program analysis over all of
+    src/, see ``conftest.py``) pays the real cost and primes the cache;
+    the warm run should be pure hashing + lookups.  The 5 s ceiling is
+    deliberately loose for slow CI machines — locally this is well
+    under 2 s.
     """
-    trees = [
-        REPO_ROOT / t
-        for t in ("src", "tests", "benchmarks", "examples")
-        if (REPO_ROOT / t).is_dir()
-    ]
-    cache_dir = tmp_path / "cache"
-    cold = lint_paths(trees, cache=LintCache(cache_dir))
+    cold = cold_full_tree_lint.findings
     start = time.perf_counter()
-    warm = lint_paths(trees, cache=LintCache(cache_dir))
+    warm = lint_paths(
+        cold_full_tree_lint.trees,
+        cache=LintCache(cold_full_tree_lint.cache_dir),
+    )
     elapsed = time.perf_counter() - start
     assert warm == cold == []
     assert elapsed < 5.0, f"warm cached run took {elapsed:.2f}s (budget 5s)"

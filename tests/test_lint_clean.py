@@ -24,18 +24,13 @@ excluded by tree: they analyze ``src/repro`` itself, so the tree
 containing the *entry path* is irrelevant.
 """
 
-import pathlib
-
-from repro.lint import lint_paths
 from repro.lint.policy import EXCLUSIONS, excluded_rules, tree_of
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-LINTED_TREES = ("src", "tests", "benchmarks", "examples")
+from .conftest import LINTED_TREES, REPO_ROOT
 
 
-def test_repository_is_lint_clean():
-    targets = [REPO_ROOT / tree for tree in LINTED_TREES if (REPO_ROOT / tree).is_dir()]
-    findings = lint_paths(targets)
+def test_repository_is_lint_clean(cold_full_tree_lint):
+    findings = cold_full_tree_lint.findings
     rendered = "\n".join(d.render() for d in findings)
     assert findings == [], f"repro-lint found violations:\n{rendered}"
 
