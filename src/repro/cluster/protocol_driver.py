@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..core.anu import ANUPlacement
-from ..core.hashing import HashFamily
 from ..core.tuning import TuningConfig
 from ..membership.faults import FaultEvent, FaultKind, FaultSchedule
-from ..placement.base import PlacementPolicy, TuningContext
+from ..placement.anu_policy import ANUPolicy
+from ..placement.base import TuningContext
 from ..proto.network import Network, NetworkConfig
 from ..proto.node import ProtocolConfig, ServerNode
 from ..runtime.routing import RequestRouter
@@ -35,39 +34,19 @@ from ..workloads.trace import Trace
 from .cluster import ClusterConfig, ClusterSimulation, RunResult
 
 
-class PassiveANUPolicy(PlacementPolicy):
-    """ANU placement whose tuning is driven externally (by the protocol)."""
+class PassiveANUPolicy(ANUPolicy):
+    """ANU placement whose tuning is driven externally (by the protocol).
+
+    It is :class:`~repro.placement.anu_policy.ANUPolicy` with tuning
+    switched off: :meth:`update` never changes the placement, because
+    shares arrive as the delegate's ``ConfigUpdate`` messages instead.
+    Initial assignment and membership reshapes are ANU's own.
+    """
 
     name = "anu-protocol"
 
-    def __init__(self, hash_family: HashFamily | None = None) -> None:
-        self._hash_family = hash_family
-        self.placement: ANUPlacement | None = None
-
-    def initial_assignment(
-        self, filesets: Sequence[str], servers: Sequence[str]
-    ) -> dict[str, str]:
-        self.placement = ANUPlacement(servers, hash_family=self._hash_family)
-        return self.placement.assignment(filesets)
-
     def update(self, context: TuningContext) -> dict[str, str] | None:
-        return None  # tuning arrives via ConfigUpdate messages instead
-
-    def on_membership_change(
-        self,
-        filesets: Sequence[str],
-        servers: Sequence[str],
-        assignment: Mapping[str, str],
-    ) -> dict[str, str]:
-        placement = self.placement
-        assert placement is not None
-        current = set(placement.servers)
-        target = set(servers)
-        for name in sorted(current - target):
-            placement.remove_server(name)
-        for name in sorted(target - current):
-            placement.add_server(name)
-        return placement.assignment(filesets)
+        return None
 
 
 @dataclass

@@ -122,6 +122,19 @@ class ANUPlacement:
         """Fail or decommission a server."""
         self.interval.remove_server(name)
 
+    def set_servers(self, servers: Iterable[str]) -> None:
+        """Reshape the server set to exactly ``servers``.
+
+        Departed servers are removed, then new ones added, each in sorted
+        order, so the result depends only on the old and new sets.
+        """
+        current = set(self.servers)
+        target = set(servers)
+        for name in sorted(current - target):
+            self.remove_server(name)
+        for name in sorted(target - current):
+            self.add_server(name)
+
     def check_invariants(self) -> None:
         """Assert the interval's structural invariants."""
         self.interval.check_invariants()

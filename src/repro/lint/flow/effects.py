@@ -21,19 +21,15 @@ This module computes one :class:`EffectSummary` per function:
   subclass, in source order;
 - **head raise** — whether the function validates-then-raises before
   performing any effect (the shape of a guard like
-  ``MembershipRoster.commission``);
-- **unordered iterations** — loops over expressions that are statically
-  sets, whose iteration order escapes into whatever the loop does.
+  ``MembershipRoster.commission``).
 
-Summaries are then propagated over :class:`~repro.lint.flow.callgraph.
-CallGraph` edges to a fixpoint: ``all_reads`` closes ambient reads over
-every resolvable callee, and ``all_self_writes`` closes self-attribute
-writes over *intra-class* calls (``self.repartition()`` inside
-``add_server`` writes whatever ``repartition`` writes).  The three
-consuming rules are :mod:`~repro.lint.flow.purity` (RPL104),
-:mod:`~repro.lint.flow.telemetry_gap` (RPL105), and
-:mod:`~repro.lint.flow.torn_state` (RPL106); one analysis instance is
-shared per project so the linter builds the graph once.
+Only self writes are propagated over :class:`~repro.lint.flow.callgraph.
+CallGraph` edges: ``all_self_writes`` closes them over *intra-class*
+calls (``self.repartition()`` inside ``add_server`` writes whatever
+``repartition`` writes).  Ambient reads stay direct; each consuming rule
+follows them through its own reachability walk.  RPL104–RPL110 read
+the summaries and RPL103 reads the same call graph; one analysis
+instance is shared per project so the linter builds the graph once.
 
 Everything here is positive evidence only: a call that cannot be
 resolved, a receiver whose class is unknown, or a record argument that
@@ -44,7 +40,7 @@ from __future__ import annotations
 
 import ast
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..rules import dotted_name
 from .callgraph import CallGraph, FunctionNode
@@ -93,15 +89,11 @@ class EffectSummary:
     self_writes: frozenset = frozenset()
     #: Resolved telemetry emissions, in source order.
     emissions: tuple[EmissionSite, ...] = ()
-    #: ``for``/comprehension loops over statically-set expressions.
-    unordered_iters: tuple[tuple[int, int], ...] = ()
     #: The function raises (a non-``AssertionError``) before any effect —
     #: the validate-at-head shape of a guard method.
     head_raise: bool = False
-    #: Fixpoint: ambient reads of this function and every resolvable callee.
-    all_reads: frozenset = field(default_factory=frozenset)
     #: Fixpoint: self writes closed over intra-class ``self.m()`` calls.
-    all_self_writes: frozenset = field(default_factory=frozenset)
+    all_self_writes: frozenset = frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -185,46 +177,42 @@ def _is_record_class(project: Project, info: ClassInfo, _depth: int = 0) -> bool
     return False
 
 
-def iter_emissions(project: Project, module: Module, node: ast.AST):
-    """Yield ``(record_name, call)`` for each resolved emission in ``node``.
+def emitted_record(
+    project: Project, module: Module, node: ast.AST
+) -> str | None:
+    """Terminal record class name if ``node`` is a resolved emission.
 
     An emission is ``<anything>.emit(Record(...))`` with exactly one
     positional argument that is a constructor of a project class derived
-    from ``TelemetryRecord``.  Nested function bodies are not entered —
-    their emissions belong to their own summary.
+    from ``TelemetryRecord``.
     """
-    stack = list(ast.iter_child_nodes(node)) if not isinstance(
-        node, ast.Call
-    ) else [node]
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "emit"
+        and len(node.args) == 1
+        and not node.keywords
+        and isinstance(node.args[0], ast.Call)
+    ):
+        return record_class(project, module, node.args[0])
+    return None
+
+
+def iter_emissions(project: Project, module: Module, nodes):
+    """Yield ``(record_name, call)`` for each emission in ``nodes``.
+
+    Nested function bodies are not entered — their emissions belong to
+    their own summary.
+    """
+    stack = list(nodes)
     while stack:
         current = stack.pop()
         if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if (
-            isinstance(current, ast.Call)
-            and isinstance(current.func, ast.Attribute)
-            and current.func.attr == "emit"
-            and len(current.args) == 1
-            and not current.keywords
-            and isinstance(current.args[0], ast.Call)
-        ):
-            record = record_class(project, module, current.args[0])
-            if record is not None:
-                yield record, current
+        record = emitted_record(project, module, current)
+        if record is not None:
+            yield record, current
         stack.extend(ast.iter_child_nodes(current))
-
-
-def is_set_expression(node: ast.expr) -> bool:
-    """Whether an expression is statically an unordered ``set``."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
-    ):
-        return is_set_expression(node.left) or is_set_expression(node.right)
-    return False
 
 
 def iter_own_statements(stmts):
@@ -251,7 +239,7 @@ def _child_blocks(stmt: ast.stmt):
 # The analysis
 # ----------------------------------------------------------------------
 class EffectAnalysis:
-    """Per-function effect summaries plus their call-graph fixpoint."""
+    """Per-function effect summaries plus their self-write fixpoint."""
 
     def __init__(self, project: Project) -> None:
         self.project = project
@@ -286,7 +274,6 @@ class EffectAnalysis:
             emissions=tuple(
                 sorted(scanner.emissions, key=lambda e: (e.line, e.col))
             ),
-            unordered_iters=tuple(sorted(set(scanner.unordered_iters))),
             head_raise=self._head_raise(fn),
         )
 
@@ -317,33 +304,28 @@ class EffectAnalysis:
 
     # ------------------------------------------------------------------
     def _propagate(self) -> None:
-        """Close summaries over call edges, to a fixpoint.
+        """Close self writes over intra-class call edges, to a fixpoint.
 
-        ``all_reads`` flows along every resolved edge; ``all_self_writes``
-        only along intra-class edges (a cross-class call mutates a
-        different object's state, not this receiver's).
+        A cross-class call mutates a different object's state, not this
+        receiver's, so only edges between methods of one class carry
+        writes.
         """
-        reads = {q: set(s.reads) for q, s in self.summaries.items()}
         writes = {q: set(s.self_writes) for q, s in self.summaries.items()}
+        edges = [
+            (writes[caller], writes[callee])
+            for caller, callees in self.graph.edges.items()
+            if caller in writes
+            for callee in callees
+            if callee in writes and self._intra_class(caller, callee)
+        ]
         changed = True
         while changed:
             changed = False
-            for caller, callees in self.graph.edges.items():
-                if caller not in reads:
-                    continue
-                for callee in callees:
-                    if callee not in reads:
-                        continue
-                    if not reads[caller] >= reads[callee]:
-                        reads[caller] |= reads[callee]
-                        changed = True
-                    if self._intra_class(caller, callee) and not (
-                        writes[caller] >= writes[callee]
-                    ):
-                        writes[caller] |= writes[callee]
-                        changed = True
+            for caller, callee in edges:
+                if not caller >= callee:
+                    caller |= callee
+                    changed = True
         for qualname, summary in self.summaries.items():
-            summary.all_reads = frozenset(reads[qualname])
             summary.all_self_writes = frozenset(writes[qualname])
 
     def _intra_class(self, caller: str, callee: str) -> bool:
@@ -365,7 +347,6 @@ class _FunctionScanner(ast.NodeVisitor):
         self.reads: list[AmbientRead] = []
         self.self_writes: list[str] = []
         self.emissions: list[EmissionSite] = []
-        self.unordered_iters: list[tuple[int, int]] = []
 
     def scan(self) -> None:
         for stmt in self.fn.node.body:
@@ -419,20 +400,13 @@ class _FunctionScanner(ast.NodeVisitor):
                 GLOBAL_RNG_PREFIXES
             ):
                 self._read("global-rng", qualified, node)
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-            and len(node.args) == 1
-            and not node.keywords
-            and isinstance(node.args[0], ast.Call)
-        ):
-            record = record_class(self.project, self.module, node.args[0])
-            if record is not None:
-                self.emissions.append(
-                    EmissionSite(
-                        record=record, line=node.lineno, col=node.col_offset
-                    )
+        record = emitted_record(self.project, self.module, node)
+        if record is not None:
+            self.emissions.append(
+                EmissionSite(
+                    record=record, line=node.lineno, col=node.col_offset
                 )
+            )
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -468,22 +442,9 @@ class _FunctionScanner(ast.NodeVisitor):
         self._note_writes(node.targets)
         self.generic_visit(node)
 
-    # -- unordered iteration -------------------------------------------
-    def visit_For(self, node: ast.For) -> None:
-        if is_set_expression(node.iter):
-            self.unordered_iters.append((node.lineno, node.col_offset))
-        self.generic_visit(node)
-
-    def visit_comprehension(self, node: ast.comprehension) -> None:
-        if is_set_expression(node.iter):
-            self.unordered_iters.append(
-                (node.iter.lineno, node.iter.col_offset)
-            )
-        self.generic_visit(node)
-
 
 # ----------------------------------------------------------------------
-# One analysis per project (the three consuming rules share it)
+# One analysis per project (every consuming rule shares it)
 # ----------------------------------------------------------------------
 _ANALYSES: "weakref.WeakKeyDictionary[Project, EffectAnalysis]" = (
     weakref.WeakKeyDictionary()

@@ -1,13 +1,14 @@
 """RPL103 — mutation of contract-protected state outside its mutators.
 
 ``repro.contracts`` guards the interval/ownership invariants at runtime:
-classes in ``core/``, ``cluster/``, and ``fs/`` expose a validator
-(``check_invariants``/``check_consistency``) and wrap their mutators in
-``@checks_invariants``/``@preserves``/``@invariant``.  The guarantee
-only holds if *every* write to the validated state goes through a
-wrapped mutator — a direct ``cluster._ownership[x] = y`` from another
-module bypasses the contract entirely and, with ``REPRO_CONTRACTS=off``,
-is indistinguishable from correct code until an invariant test fails.
+classes in ``core/``, ``cluster/``, ``fs/`` and ``membership/`` expose a
+validator (``check_invariants``/``check_consistency``) and wrap their
+mutators in ``@checks_invariants``/``@preserves``/``@invariant``.  The
+guarantee only holds if *every* write to the validated state goes
+through a wrapped mutator — a direct ``cluster._ownership[x] = y`` from
+another module bypasses the contract entirely and, with
+``REPRO_CONTRACTS=off``, is indistinguishable from correct code until an
+invariant test fails.
 
 This rule computes, per protected class:
 
@@ -22,6 +23,10 @@ then flags every attribute store (including subscript writes and
 ``del``) whose receiver resolves to a protected class when the write is
 (a) outside the class entirely, or (b) in an unsanctioned method.
 Constructor field binds are not mutations and never fire.
+
+The protected-state table (:data:`PROTECTED_LAYERS`,
+:func:`protected_attrs`, :func:`is_contract_mutator`) is shared with
+RPL106 (:mod:`~repro.lint.flow.torn_state`).
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ import ast
 
 from ..diagnostics import Diagnostic
 from ..rules import FlowRule, register
-from .callgraph import CallGraph
+from .callgraph import CallGraph, FunctionNode
 from .dataflow import Lattice, SymbolicEvaluator, finalize, run_evaluators
+from .effects import effect_analysis
 from .symbols import ClassInfo, Project
 
 #: Validator method names that define a class's protected state.
@@ -41,14 +47,14 @@ VALIDATORS = ("check_invariants", "check_consistency")
 #: that sanction a method to mutate protected state.
 CONTRACT_DECORATORS = frozenset({"checks_invariants", "preserves", "invariant"})
 
-#: Layers whose validated classes this rule protects.
-PROTECTED_LAYERS = ("core", "cluster", "fs")
+#: Layers whose validated classes hold contract-protected state.
+PROTECTED_LAYERS = ("core", "cluster", "fs", "membership")
 
 #: Methods sanctioned by construction semantics rather than contracts.
 _CONSTRUCTION = frozenset({"__init__", "__post_init__", "__new__"})
 
 
-def _protected_attrs(info: ClassInfo) -> frozenset:
+def protected_attrs(info: ClassInfo) -> frozenset:
     """Every ``self.<attr>`` the class's validator(s) read."""
     out: set[str] = set()
     for name in VALIDATORS:
@@ -66,9 +72,27 @@ def _protected_attrs(info: ClassInfo) -> frozenset:
     return frozenset(out)
 
 
-def _in_protected_layer(project: Project, info: ClassInfo) -> bool:
-    parts = info.module.split(".")
-    return len(parts) >= 2 and parts[1] in PROTECTED_LAYERS
+def protected_classes(project: Project):
+    """Yield ``(info, attrs)`` for each class holding protected state.
+
+    A class qualifies when it lives in a :data:`PROTECTED_LAYERS` layer
+    and its validator reads at least one ``self`` attribute.
+    """
+    for info in project.iter_classes():
+        parts = info.module.split(".")
+        if len(parts) < 2 or parts[1] not in PROTECTED_LAYERS:
+            continue
+        attrs = protected_attrs(info)
+        if attrs:
+            yield info, attrs
+
+
+def is_contract_mutator(fn: FunctionNode) -> bool:
+    """Whether ``fn`` carries one of :data:`CONTRACT_DECORATORS`."""
+    return any(
+        decorator.rsplit(".", 1)[-1] in CONTRACT_DECORATORS
+        for decorator in fn.decorators
+    )
 
 
 def _sanctioned_methods(graph: CallGraph, class_qualname: str) -> frozenset:
@@ -78,14 +102,8 @@ def _sanctioned_methods(graph: CallGraph, class_qualname: str) -> frozenset:
     for qualname, fn in graph.functions.items():
         if not qualname.startswith(prefix):
             continue
-        method = qualname[len(prefix):]
-        if method in _CONSTRUCTION:
+        if qualname[len(prefix):] in _CONSTRUCTION or is_contract_mutator(fn):
             seeds.add(qualname)
-            continue
-        for decorator in fn.decorators:
-            if decorator.rsplit(".", 1)[-1] in CONTRACT_DECORATORS:
-                seeds.add(qualname)
-                break
     # Sanction propagates through intra-class calls only: a decorated
     # mutator may delegate to private helpers, but a cross-class call
     # never launders a write.
@@ -134,16 +152,13 @@ class ContractBypass(FlowRule):
     )
 
     def run(self) -> list[Diagnostic]:
-        protected: dict[str, frozenset] = {}
-        for info in self.project.iter_classes():
-            if not _in_protected_layer(self.project, info):
-                continue
-            attrs = _protected_attrs(info)
-            if attrs:
-                protected[info.qualname] = attrs
+        protected = {
+            info.qualname: attrs
+            for info, attrs in protected_classes(self.project)
+        }
         if not protected:
             return []
-        graph = CallGraph(self.project)
+        graph = effect_analysis(self.project).graph
         sanctioned = {
             qualname: _sanctioned_methods(graph, qualname)
             for qualname in protected

@@ -127,7 +127,7 @@ class _GapWalker:
             if isinstance(stmt, (ast.For, ast.While)):
                 # Second iterations see the first's emissions: re-walk the
                 # body with everything it may emit (reports de-dupe).
-                may_emit = emitted | self._may_emissions(stmt.body)
+                may_emit = emitted | self._emissions_of(stmt.body)
                 self.walk(stmt.body, emitted, in_try)
                 self.walk(stmt.body, may_emit, in_try)
                 # The loop may run zero times: must-state is unchanged.
@@ -147,28 +147,19 @@ class _GapWalker:
             # *before* it runs, then fold in what it emits.
             if not in_try:
                 self._check_callees(stmt, emitted)
-            emitted = emitted | self._emissions_of(stmt)
+            emitted = emitted | self._emissions_of([stmt])
             if isinstance(stmt, ast.Return):
                 break
         return emitted
 
     # ------------------------------------------------------------------
-    def _emissions_of(self, stmt: ast.stmt) -> frozenset:
+    def _emissions_of(self, stmts) -> frozenset:
         return frozenset(
             record
             for record, _ in iter_emissions(
-                self.analysis.project, self.module, stmt
+                self.analysis.project, self.module, stmts
             )
         )
-
-    def _may_emissions(self, stmts) -> frozenset:
-        out: set[str] = set()
-        for stmt in stmts:
-            for record, _ in iter_emissions(
-                self.analysis.project, self.module, stmt
-            ):
-                out.add(record)
-        return frozenset(out)
 
     def _check_callees(self, stmt: ast.stmt, emitted: frozenset) -> None:
         for node in ast.walk(stmt):

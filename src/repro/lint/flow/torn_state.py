@@ -10,11 +10,12 @@ bad share fraction must not have already doubled the partition count.
 
 The rule combines three existing pieces of evidence:
 
-- *which attributes are protected* comes from RPL103's machinery — the
-  ``self.<attr>`` reads of the class validator
-  (``check_invariants``/``check_consistency``);
-- *which methods promise atomicity* are those carrying a contract
-  decorator (``@checks_invariants``/``@preserves``/``@invariant``);
+- *which attributes are protected* comes from RPL103's protected-state
+  table — the ``self.<attr>`` reads of the class validator
+  (``check_invariants``/``check_consistency``) in the same layers;
+- *which methods promise atomicity* are those RPL103 also treats as
+  contract mutators: the ones carrying a contract decorator
+  (``@checks_invariants``/``@preserves``/``@invariant``);
 - *which calls write protected state* comes from the effect analysis:
   a ``self.helper()`` call counts as a write when the callee's
   transitively-propagated ``all_self_writes`` (intra-class closure)
@@ -42,11 +43,8 @@ from .effects import (
     raise_escapes,
     written_self_attr,
 )
-from .mutation import CONTRACT_DECORATORS, _protected_attrs
+from .mutation import is_contract_mutator, protected_classes
 from .symbols import Module
-
-#: Layers whose contract-decorated mutators must be exception-atomic.
-LAYERS = ("core", "cluster", "fs", "membership")
 
 
 @register
@@ -72,29 +70,16 @@ class MutateThenRaise(FlowRule):
     def run(self) -> list[Diagnostic]:
         analysis = effect_analysis(self.project)
         graph = analysis.graph
-        for info in self.project.iter_classes():
-            parts = info.module.split(".")
-            if len(parts) < 2 or parts[1] not in LAYERS:
-                continue
-            protected = _protected_attrs(info)
-            if not protected:
-                continue
+        for info, protected in protected_classes(self.project):
             for method in sorted(info.methods):
                 qualname = f"{info.qualname}.{method}"
                 fn = graph.functions.get(qualname)
-                if fn is None or not _is_contract_mutator(fn):
+                if fn is None or not is_contract_mutator(fn):
                     continue
                 module = self.project.modules[fn.module]
                 walker = _TornWalker(self, analysis, module, fn, protected)
                 walker.walk(fn.node.body, None, in_try=False)
         return sorted(self.diagnostics)
-
-
-def _is_contract_mutator(fn: FunctionNode) -> bool:
-    return any(
-        decorator.rsplit(".", 1)[-1] in CONTRACT_DECORATORS
-        for decorator in fn.decorators
-    )
 
 
 class _TornWalker:

@@ -83,12 +83,7 @@ class ANUPolicy(PlacementPolicy):
         assignment: Mapping[str, str],
     ) -> dict[str, str]:
         placement = self._require_placement()
-        current = set(placement.servers)
-        target = set(servers)
-        for name in sorted(current - target):
-            placement.remove_server(name)
-        for name in sorted(target - current):
-            placement.add_server(name)
+        placement.set_servers(servers)
         placement.check_invariants()
         # A membership change invalidates latency history: the region scales
         # changed for a non-workload reason.
@@ -162,10 +157,5 @@ class DecentralizedANUPolicy(PlacementPolicy):
         placement = self.placement
         if placement is None:
             raise RuntimeError("policy used before initial_assignment()")
-        current = set(placement.servers)
-        target = set(servers)
-        for name in sorted(current - target):
-            placement.remove_server(name)
-        for name in sorted(target - current):
-            placement.add_server(name)
+        placement.set_servers(servers)
         return placement.assignment(filesets)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.anu import ANUPlacement
+from ..core.tuning import DelegateTuner, ServerReport, TuningConfig
 from ..sim.rng import StreamFactory
 
 
@@ -80,37 +82,68 @@ def simulate_simple_randomization(
     )
 
 
+def tune_analytic_proxy(
+    placement: ANUPlacement,
+    speeds: dict[str, float],
+    weights: dict[str, float],
+    rounds: int,
+    config: TuningConfig,
+) -> tuple[int, list[ServerReport]]:
+    """Iterate delegate tuning against an analytic latency proxy.
+
+    The proxy for server latency is (sum of hosted file-set weight) /
+    speed — the steady-state utilization-driven latency, which is what the
+    real simulator's reports converge to.  Each round tallies the proxy
+    over ``sorted(weights)``, lets one :class:`DelegateTuner` decide, and
+    rescales the placement's shares.  Returns the rounds used (the index
+    of the first round that did not tune, else ``rounds``) and that last
+    round's reports.
+    """
+    tuner = DelegateTuner(config)
+    names = sorted(weights)
+    reports: list[ServerReport] = []
+    for i in range(rounds):
+        assignment = placement.assignment(names)
+        load = {s: 0.0 for s in placement.servers}
+        count = {s: 0 for s in placement.servers}
+        for fs, server in assignment.items():
+            load[server] += weights[fs]
+            count[server] += 1
+        reports = [
+            ServerReport(s, load[s] / speeds[s], count[s])
+            for s in placement.servers
+        ]
+        decision = tuner.compute(placement.shares(), reports)
+        if not decision.tuned:
+            return i, reports
+        placement.set_shares(decision.new_shares)
+        placement.check_invariants()
+    return rounds, reports
+
+
 def anu_normalized_max_after_tuning(
     n_servers: int, n_filesets: int, rounds: int = 20, seed: int = 0
 ) -> float:
     """Normalized max file-set count under ANU after count-driven tuning.
 
     Uses file-set count as the latency proxy (uniform file sets, uniform
-    servers): each round the delegate shrinks over-counted servers.  The
-    result should approach a small constant independent of ``n_servers``,
-    in contrast to simple randomization's growth with ``n``.
+    servers, so every weight and speed is 1.0): each round the delegate
+    shrinks over-counted servers.  The result should approach a small
+    constant independent of ``n_servers``, in contrast to simple
+    randomization's growth with ``n``.
     """
-    from ..core.anu import ANUPlacement
-    from ..core.tuning import DelegateTuner, ServerReport, TuningConfig
-
     placement = ANUPlacement([f"s{i}" for i in range(n_servers)])
     names = [f"fs{i}-{seed}" for i in range(n_filesets)]
-    tuner = DelegateTuner(
-        TuningConfig(use_thresholding=True, threshold=0.05,
-                     use_top_off=False, use_divergent=False, max_step=2.0)
+    tune_analytic_proxy(
+        placement,
+        speeds={s: 1.0 for s in placement.servers},
+        weights={name: 1.0 for name in names},
+        rounds=rounds,
+        config=TuningConfig(
+            use_thresholding=True, threshold=0.05, use_top_off=False,
+            use_divergent=False, max_step=2.0,
+        ),
     )
-    for _ in range(rounds):
-        assignment = placement.assignment(names)
-        counts = {s: 0 for s in placement.servers}
-        for server in assignment.values():
-            counts[server] += 1
-        reports = [
-            ServerReport(s, float(counts[s]), counts[s]) for s in placement.servers
-        ]
-        decision = tuner.compute(placement.shares(), reports)
-        if not decision.tuned:
-            break
-        placement.set_shares(decision.new_shares)
     assignment = placement.assignment(names)
     final = np.bincount(
         [sorted(placement.servers).index(s) for s in assignment.values()],

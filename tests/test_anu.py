@@ -109,6 +109,19 @@ def test_add_server_takes_roughly_fair_share():
     assert counts["s4"] == pytest.approx(4000 / 5, rel=0.25)
 
 
+def test_set_servers_removes_then_adds_in_sorted_order():
+    reshaped = ANUPlacement(["a", "c", "d", "e"])
+    manual = ANUPlacement(["a", "c", "d", "e"])
+    reshaped.set_servers(["f", "b", "a", "e"])
+    for name in ("c", "d"):
+        manual.remove_server(name)
+    for name in ("b", "f"):
+        manual.add_server(name)
+    assert reshaped.servers == manual.servers
+    assert reshaped.shares() == manual.shares()
+    assert reshaped.assignment(names(500)) == manual.assignment(names(500))
+
+
 def test_minimal_movement_on_small_rescale():
     p = ANUPlacement([f"s{i}" for i in range(5)])
     ns = names(3000)

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulation, paper_servers
-from repro.cluster.protocol_driver import ProtocolDrivenCluster
+from repro.cluster.protocol_driver import (
+    PassiveANUPolicy,
+    ProtocolDrivenCluster,
+)
 from repro.placement import ANUPolicy
 from repro.proto import NetworkConfig, ProtocolConfig
 from repro.workloads import SyntheticConfig, Trace, generate_synthetic
@@ -19,6 +22,17 @@ def trace(n_requests: int = 8000, duration: float = 1200.0) -> Trace:
 def cluster_cfg(seed: int = 0) -> ClusterConfig:
     return ClusterConfig(servers=paper_servers(), tuning_interval=120.0,
                          sample_window=60.0, seed=seed)
+
+
+def test_passive_policy_is_anu_that_never_tunes():
+    policy = PassiveANUPolicy()
+    assert isinstance(policy, ANUPolicy)
+    assignment = policy.initial_assignment(["f1", "f2", "f3"], ["s0", "s1"])
+    assert policy.update(None) is None
+    assert policy.on_membership_change(
+        ["f1", "f2", "f3"], ["s1", "s2"], assignment
+    ) == policy.placement.assignment(["f1", "f2", "f3"])
+    assert policy.placement.servers == ["s1", "s2"]
 
 
 def test_protocol_driven_run_completes_and_tunes():
