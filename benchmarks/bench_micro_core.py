@@ -14,9 +14,10 @@ NAMES = [f"/projects/fs{i:05d}" for i in range(1000)]
 
 
 def test_hash_probe_throughput(benchmark):
-    family = HashFamily()
+    """First probe of 1,000 names on a fresh family: BLAKE2b, not memo hits."""
 
     def probe_all():
+        family = HashFamily()
         for name in NAMES:
             family.probe(name, 0)
 
@@ -37,6 +38,17 @@ def test_locate_throughput(benchmark, n_servers):
             placement.locate(name)
 
     benchmark(locate_all)
+
+
+def test_locate_owner_set_throughput(benchmark):
+    """Replica owner sets (r=2) of 1,000 names: the churn re-derivation path."""
+    placement = ANUPlacement([f"s{i}" for i in range(20)])
+
+    def owner_sets_all():
+        for name in NAMES:
+            placement.locate_owner_set(name, 2)
+
+    benchmark(owner_sets_all)
 
 
 @pytest.mark.parametrize("n_servers", [5, 20, 80])

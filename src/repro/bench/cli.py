@@ -4,12 +4,14 @@ Runs the hot-path benchmark suites with pinned seeds, warmup, and
 median-of-k timing, writes one schema-versioned ``BENCH_<suite>.json``
 per suite at the repo root, and compares medians against the committed
 baselines under ``benchmarks/baselines/`` with a configurable slowdown
-gate (default: fail at >25%).
+gate (default: fail at >25%).  Quick mode reads and writes
+``BENCH_<suite>.quick.json`` so it is only ever gated against a quick
+baseline.
 
 Usage examples::
 
     repro-bench                       # run micro_core, micro_sim, fs_substrate
-    repro-bench --quick               # CI-sized rounds (and REPRO_BENCH_QUICK=1)
+    repro-bench --quick               # CI-sized rounds; BENCH_<suite>.quick.json
     repro-bench --suites micro_sim    # one suite
     repro-bench --gate 40             # relax the gate to +40%
     repro-bench --update-baseline     # refresh benchmarks/baselines/*.json
@@ -48,6 +50,7 @@ from .report import (
     format_gate_result,
     git_rev,
     load_document,
+    report_filename,
     write_document,
 )
 from .timing import TimerConfig
@@ -112,7 +115,7 @@ def _parser() -> argparse.ArgumentParser:
         "--output-dir",
         type=Path,
         default=None,
-        help="where BENCH_<suite>.json land (default: the repo root)",
+        help="where BENCH_<suite>[.quick].json land (default: the repo root)",
     )
     parser.add_argument(
         "--baseline-dir",
@@ -235,10 +238,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"   {result.name}: median {result.stats['median_ns']:,.0f} ns "
                 f"(k={result.stats['rounds']}, iters={result.stats['iterations']})"
             )
-        out_path = output_dir / f"BENCH_{name}.json"
+        filename = report_filename(name, args.quick)
+        out_path = output_dir / filename
         write_document(document, out_path)
         print(f"   wrote {out_path}")
-        baseline_path = baseline_dir / f"BENCH_{name}.json"
+        baseline_path = baseline_dir / filename
         if args.update_baseline:
             baseline_dir.mkdir(parents=True, exist_ok=True)
             write_document(document, baseline_path)

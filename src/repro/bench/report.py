@@ -1,7 +1,8 @@
 """Schema-versioned benchmark reports and the regression gate.
 
 ``repro-bench`` emits one ``BENCH_<suite>.json`` per suite at the repo
-root.  The document schema (``SCHEMA_VERSION`` = 1) is::
+root (``BENCH_<suite>.quick.json`` in quick mode, see
+:func:`report_filename`).  The document schema (``SCHEMA_VERSION`` = 1) is::
 
     {
       "schema_version": 1,
@@ -23,9 +24,11 @@ root.  The document schema (``SCHEMA_VERSION`` = 1) is::
 The *median* is the comparison statistic; stddev/min/max record
 dispersion.  :func:`compare` matches current results to a committed
 baseline by case name and flags every case whose median slowed down by
-more than the gate threshold (default 25%).  Baselines live in
-``benchmarks/baselines/`` and are refreshed with
-``repro-bench --update-baseline`` (see CONTRIBUTING.md).
+more than the gate threshold (default 25%).  Quick and full runs time
+different round counts and scales, so :func:`compare` refuses to match a
+quick document against a full baseline or the reverse.  Baselines live in
+``benchmarks/baselines/``, one file per suite and mode, and are refreshed
+with ``repro-bench [--quick] --update-baseline`` (see CONTRIBUTING.md).
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ def git_rev(repo_root: Path) -> str:
         return "unknown"
     rev = out.stdout.strip()
     return rev if out.returncode == 0 and rev else "unknown"
+
+
+def report_filename(suite: str, quick: bool) -> str:
+    """File name of ``suite``'s report (and baseline) in the given mode."""
+    return f"BENCH_{suite}.quick.json" if quick else f"BENCH_{suite}.json"
 
 
 def build_document(
@@ -164,10 +172,17 @@ def compare(
     """Match cases by name and apply the slowdown gate to medians.
 
     Cases present on only one side are reported (new benchmarks appear,
-    retired ones disappear) but never fail the gate by themselves.
+    retired ones disappear) but never fail the gate by themselves.  A
+    quick document never compares against a full baseline, or the
+    reverse: their medians measure different scales.
     """
     if gate < 0:
         raise ReportError(f"gate threshold must be >= 0, got {gate}")
+    if current.get("quick") != baseline.get("quick"):
+        raise ReportError(
+            f"cannot compare a quick={current.get('quick')!r} run against a "
+            f"quick={baseline.get('quick')!r} baseline"
+        )
     cur = {r["name"]: r for r in current["results"]}
     base = {r["name"]: r for r in baseline["results"]}
     compared = [

@@ -17,7 +17,11 @@ servers, rather than the number of file sets").  Consequently, when mapped
 regions are rescaled, the new assignment of every file set is recomputed by
 re-probing; the minimal-movement property is inherited from the interval's
 minimal-movement region updates and is verified empirically by the movement
-benchmarks.
+benchmarks.  The hash family memoizes each name's probe points, but that
+memo is only a local cache of the agreed family — every node computes the
+same points — so it adds no shared state: what changes on a rescale is the
+interval alone, and re-probing after one costs an interval walk, not a
+rehash.
 """
 
 from __future__ import annotations
@@ -55,11 +59,11 @@ class ANUPlacement:
         A fallback (direct-to-server) assignment reports
         ``max_rounds + 1`` probes.
         """
-        for round_ in range(self.hashes.max_rounds):
-            point = self.hashes.probe(name, round_)
-            owner = self.interval.locate_point(point)
-            if owner is not None:
-                return owner, round_ + 1
+        owners, used = self.interval.locate_along(
+            self.hashes.probe_sequence(name), 1
+        )
+        if owners:
+            return owners[0], used
         server = self.hashes.fallback_choice(name, self.interval.servers)
         return server, self.hashes.max_rounds + 1
 
@@ -81,11 +85,7 @@ class ANUPlacement:
         """
         if r < 1:
             raise ValueError(f"need at least one owner, got r={r!r}")
-        owners = self.interval.locate_distinct(
-            (self.hashes.probe(name, round_)
-             for round_ in range(self.hashes.max_rounds)),
-            r,
-        )
+        owners = self.interval.locate_distinct(self.hashes.probe_sequence(name), r)
         chosen = set(owners)
         while len(owners) < r:
             remaining = [s for s in self.interval.servers if s not in chosen]

@@ -15,13 +15,21 @@ The family must be:
   cluster computes the same placement) — we therefore use BLAKE2b with a
   per-round salt rather than Python's randomized ``hash()``;
 - well-mixed — each round is an independent-looking uniform draw on [0, 1).
+
+A probe point is a pure function of ``(name, round)``, so
+:class:`HashFamily` hashes each one once: it keeps a private per-name list
+of the points computed so far and extends it lazily, only as far as a
+lookup actually walks.  The memo holds at most ``max_rounds`` floats per
+name the family has located; it is a cache of the agreed family, not
+state any other node needs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 _TWO_64 = float(2**64)
 
@@ -92,6 +100,11 @@ class HashFamily:
     ``probes(name)`` yields the first ``max_rounds`` unit-interval points of
     the family for ``name``; :meth:`fallback_choice` deterministically picks
     among the live servers when every probe missed.
+
+    Probe points are memoized per name, filled lazily: a lookup that stops
+    at round ``j`` hashes rounds ``0..j`` at most once over the family's
+    lifetime, and the memo never holds more than ``max_rounds`` floats per
+    name located.
     """
 
     def __init__(self, max_rounds: int = 8, namespace: str = "anu") -> None:
@@ -99,6 +112,22 @@ class HashFamily:
             raise ValueError(f"max_rounds must be >= 1, got {max_rounds!r}")
         self.max_rounds = max_rounds
         self.namespace = namespace
+        #: name -> probe points of rounds 0..len-1, extended on demand.
+        self._points: dict[str, list[float]] = {}
+
+    def probe_sequence(self, name: str) -> Iterator[float]:
+        """The probe points for ``name`` in round order, hashed on first use.
+
+        Rounds the consumer never reaches are never hashed, so a walk that
+        stops at its first mapped probe leaves the memo that short.
+        """
+        points = self._points.get(name)
+        if points is None:
+            points = self._points[name] = []
+        for round_ in range(self.max_rounds):
+            if round_ == len(points):
+                points.append(hash_to_unit(name, round_, self.namespace))
+            yield points[round_]
 
     def probe(self, name: str, round_: int) -> float:
         """The ``round_``-th probe point for ``name``."""
@@ -106,11 +135,13 @@ class HashFamily:
             raise ValueError(
                 f"round {round_} >= max_rounds {self.max_rounds}; use fallback_choice"
             )
-        return hash_to_unit(name, round_, self.namespace)
+        if round_ < 0:
+            raise ValueError(f"round must be >= 0, got {round_!r}")
+        return next(islice(self.probe_sequence(name), round_, None))
 
     def probes(self, name: str) -> list[float]:
-        """All probe points for ``name``, in order."""
-        return [hash_to_unit(name, r, self.namespace) for r in range(self.max_rounds)]
+        """All probe points for ``name``, in order (a fresh list)."""
+        return list(self.probe_sequence(name))
 
     def fallback_choice(self, name: str, candidates: Sequence[str]) -> str:
         """Deterministic direct-to-server choice among ``candidates``.

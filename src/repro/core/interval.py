@@ -253,16 +253,8 @@ class MappedInterval:
         is exact (both factors are powers-of-two scalings of <=53-bit
         integers), so the computed tick always stays below ``RESOLUTION``.
         """
-        if not 0.0 <= x < 1.0:
-            raise IntervalError(f"point {x!r} outside [0, 1)")
-        tick = int(x * RESOLUTION)
-        psize = self.partition_ticks
-        idx = tick // psize
-        owner = self._owner[idx]
-        if owner is None:
-            return None
-        offset = tick - idx * psize
-        return owner if offset < self._prefix[idx] else None
+        owners, _used = self.locate_along((x,), 1)
+        return owners[0] if owners else None
 
     def locate_distinct(self, points: Iterable[float], k: int) -> list[str]:
         """Up to ``k`` *distinct* owners along a probe-point sequence.
@@ -276,18 +268,46 @@ class MappedInterval:
         hits are skipped; fewer than ``k`` owners come back when the
         sequence runs out first.
         """
+        owners, _used = self.locate_along(points, k)
+        return owners
+
+    def locate_along(
+        self, points: Iterable[float], k: int
+    ) -> tuple[list[str], int]:
+        """The first ``k`` distinct owners along ``points``, and the points used.
+
+        The one probe walk behind :meth:`locate_point` and
+        :meth:`locate_distinct`: each point is checked against ``[0, 1)``
+        and resolved to its partition's owner when its tick falls inside
+        the owned prefix.  The walk stops at the ``k``-th owner, so the
+        count of consumed points is the round of that last hit plus one
+        (or the whole sequence when fewer than ``k`` owners were found).
+        """
         if k < 0:
             raise IntervalError(f"need a non-negative owner count, got {k!r}")
         owners: list[str] = []
-        seen: set[str] = set()
-        for point in points:
-            if len(owners) >= k:
-                break
-            owner = self.locate_point(point)
-            if owner is not None and owner not in seen:
-                seen.add(owner)
+        used = 0
+        if k == 0:
+            return owners, used
+        psize = RESOLUTION // self._p
+        owner_of = self._owner
+        prefix = self._prefix
+        for x in points:
+            used += 1
+            if not 0.0 <= x < 1.0:
+                raise IntervalError(f"point {x!r} outside [0, 1)")
+            tick = int(x * RESOLUTION)
+            idx = tick // psize
+            owner = owner_of[idx]
+            if (
+                owner is not None
+                and tick - idx * psize < prefix[idx]
+                and owner not in owners
+            ):
                 owners.append(owner)
-        return owners
+                if len(owners) == k:
+                    break
+        return owners, used
 
     # ------------------------------------------------------------------
     # Share updates (minimal movement)

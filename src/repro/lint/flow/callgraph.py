@@ -62,8 +62,10 @@ class CallGraph:
         #: callee qualname -> set of caller qualnames.
         self.callers: dict[str, set[str]] = {}
         self.unknown: list[UnknownCall] = []
-        #: fn qualname -> inferred receiver types (resolve_site memo).
+        #: fn qualname -> inferred receiver types (local_types memo).
         self._types_cache: dict[str, dict[str, str]] = {}
+        #: class -> its pinned ``self.attr`` types, shared by its methods.
+        self._attr_types: dict[ClassInfo, dict[str, str]] = {}
         for module in project.modules.values():
             self._collect_functions(module)
         for fn in list(self.functions.values()):
@@ -134,7 +136,7 @@ class CallGraph:
     # ------------------------------------------------------------------
     def _collect_edges(self, fn: FunctionNode) -> None:
         module = self.project.modules[fn.module]
-        types = infer_local_types(self.project, module, fn)
+        types = self.local_types(fn)
         # Only walk this function's own statements, not nested defs (those
         # are separate nodes); ast.walk can't express that, so track depth.
         for call in iter_own_calls(fn.node):
@@ -260,17 +262,33 @@ class CallGraph:
         Same resolution as edge construction, exposed per-site so
         analyses that care about *statement order* (the effect summaries
         in :mod:`repro.lint.flow.effects`) can ask about a specific call
-        rather than the order-less edge set.  Local type inference is
-        cached per function.
+        rather than the order-less edge set.
         """
         module = self.project.modules.get(fn.module)
         if module is None:
             return None
+        return self._resolve_call(module, fn, call, self.local_types(fn))
+
+    def local_types(self, fn: FunctionNode) -> dict[str, str]:
+        """:func:`infer_local_types` for ``fn``, computed once per graph.
+
+        The enclosing class's attribute types are computed once per class
+        and shared by all of its methods.  Callers must not mutate the
+        returned mapping.
+        """
         types = self._types_cache.get(fn.qualname)
         if types is None:
-            types = infer_local_types(self.project, module, fn)
+            module = self.project.modules[fn.module]
+            attr_types: dict[str, str] = {}
+            if fn.owner is not None:
+                if fn.owner not in self._attr_types:
+                    self._attr_types[fn.owner] = class_attr_types(
+                        self.project, module, fn.owner
+                    )
+                attr_types = self._attr_types[fn.owner]
+            types = infer_local_types(self.project, module, fn, attr_types)
             self._types_cache[fn.qualname] = types
-        return self._resolve_call(module, fn, call, types)
+        return types
 
     def reachable_from(self, roots: set[str]) -> set[str]:
         """All functions reachable from ``roots`` (cycle-safe BFS)."""
@@ -391,14 +409,19 @@ def class_attr_types(
 
 
 def infer_local_types(
-    project: Project, module: Module, fn: FunctionNode
+    project: Project,
+    module: Module,
+    fn: FunctionNode,
+    attr_types: dict[str, str],
 ) -> dict[str, str]:
     """Map receiver expressions to project class qualnames inside ``fn``.
 
     Keys are dotted receiver texts (``x``, ``self.cluster``); values are
     class qualnames.  Covers annotated parameters, ``x = ClassName(...)``
     local constructor assignments, and ``self.attr`` types pinned by the
-    enclosing class.  Everything else stays unknown.
+    enclosing class (``attr_types``: :func:`class_attr_types` of
+    ``fn.owner``, empty for plain functions).  Everything else stays
+    unknown.
     """
     types: dict[str, str] = {}
     args = fn.node.args
@@ -426,7 +449,6 @@ def infer_local_types(
             found = annotation_class(project, module, stmt.annotation)
             if found is not None:
                 types[stmt.target.id] = found
-    if fn.owner is not None:
-        for attr, qual in class_attr_types(project, module, fn.owner).items():
-            types[f"self.{attr}"] = qual
+    for attr, qual in attr_types.items():
+        types[f"self.{attr}"] = qual
     return types

@@ -33,7 +33,6 @@ import ast
 
 from ..diagnostics import Diagnostic
 from ..rules import FlowRule, dotted_name, register
-from .callgraph import infer_local_types
 from .effects import iter_own_statements
 from .symbols import ClassInfo, Module, Project
 from .workers import worker_index
@@ -158,7 +157,7 @@ class PickleSafety(FlowRule):
         module = index.project.modules.get(site.module)
         if fn is None or module is None:
             return
-        types = infer_local_types(index.project, module, fn)
+        types = index.graph.local_types(fn)
         handles = _open_handles(fn.node)
         for arg in [*site.call.args, *[k.value for k in site.call.keywords]]:
             self._check_value(
@@ -193,7 +192,7 @@ class PickleSafety(FlowRule):
                     f"unpicklable type: {reason}",
                 )
         # Returns: these values leave via pickle.
-        types = infer_local_types(index.project, module, fn)
+        types = index.graph.local_types(fn)
         handles = _open_handles(fn.node)
         for stmt in iter_own_statements(fn.node.body):
             if isinstance(stmt, ast.Return) and stmt.value is not None:

@@ -296,6 +296,16 @@ def test_compare_zero_baseline_is_not_a_breach():
     assert compare(current, baseline).passed
 
 
+def test_compare_refuses_quick_against_full():
+    quick = {"suite": "toy", "quick": True, "results": [result_entry("a", 5.0)]}
+    full = {"suite": "toy", "quick": False, "results": [result_entry("a", 50.0)]}
+    with pytest.raises(ReportError, match="quick"):
+        compare(quick, full)
+    with pytest.raises(ReportError, match="quick"):
+        compare(full, quick)
+    assert compare(quick, dict(quick)).passed
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -359,6 +369,22 @@ def test_cli_gate_breach_exits_one(fake_repo: Path, capsys):
     # --no-gate measures without comparing.
     assert cli(fake_repo, "--no-gate") == 0
     # A relaxed-enough gate would still fail here; disabling wins.
+
+
+def test_cli_quick_mode_keeps_its_own_report_and_baseline(
+    fake_repo: Path, capsys, monkeypatch
+):
+    # --quick exports REPRO_BENCH_QUICK=1; restore it after the test.
+    monkeypatch.setenv("REPRO_BENCH_QUICK", "0")
+    baselines = fake_repo / "benchmarks" / "baselines"
+    assert cli(fake_repo, "--update-baseline") == 0
+    assert cli(fake_repo, "--quick") == 0
+    assert "gate skipped" in capsys.readouterr().out
+    assert load_document(fake_repo / "BENCH_toy.quick.json")["quick"] is True
+    assert load_document(fake_repo / "BENCH_toy.json")["quick"] is False
+    assert cli(fake_repo, "--quick", "--update-baseline") == 0
+    assert load_document(baselines / "BENCH_toy.quick.json")["quick"] is True
+    assert load_document(baselines / "BENCH_toy.json")["quick"] is False
 
 
 def test_cli_list_and_unknown_suite(fake_repo: Path, capsys):
