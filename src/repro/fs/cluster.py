@@ -10,6 +10,12 @@ really moves namespace images over the shared disk when ownership changes,
 so the end-to-end correctness of placement + movement + recovery is
 testable: every operation lands on exactly the server that owns its file
 set, and no update is ever lost across tuning, failure, and recovery.
+
+Every operation first resolves its path to a file set through
+:class:`FileSetRegistry`: a dict from normalized root to file set, probed
+from the path's deepest prefix up to ``/``, so resolution costs O(depth)
+whatever the number of roots.  File-set moves carry the file set's lock
+state to the new owner (clients reassert their locks); a crash loses it.
 """
 
 from __future__ import annotations
@@ -29,28 +35,33 @@ from ..runtime.telemetry import NULL_SINK, TelemetrySink
 from ..units import Seconds
 from . import paths
 from .disk import SharedDisk
+from .locks import PathLocks
 from .namespace import FSError, Namespace
 from .ops import Operation, OpResult
 from .service import MetadataService
 
 
 class FileSetRegistry:
-    """Maps global paths to file sets (deepest enclosing subtree root)."""
+    """Maps global paths to file sets (deepest enclosing subtree root).
+
+    Resolution is O(depth of the path), independent of the number of
+    roots: one normalization, then one dict probe per prefix from the
+    deepest up to ``/``.
+    """
 
     def __init__(self, roots: Mapping[str, str]) -> None:
         """``roots``: file-set name -> global root path of its subtree."""
         if not roots:
             raise FSError("need at least one file set")
         self._root_of: dict[str, str] = {}
+        #: Normalized root path -> file-set name.
+        self._fileset_at: dict[str, str] = {}
         for name, root in roots.items():
             norm = paths.normalize(root)
-            if norm in self._root_of.values():
+            if norm in self._fileset_at:
                 raise FSError(f"duplicate file-set root {norm!r}")
             self._root_of[name] = norm
-        # Longest-prefix order for resolution.
-        self._ordered = sorted(
-            self._root_of.items(), key=lambda kv: -len(paths.components(kv[1]))
-        )
+            self._fileset_at[norm] = name
 
     @property
     def filesets(self) -> list[str]:
@@ -66,21 +77,29 @@ class FileSetRegistry:
     def fileset_of(self, path: str) -> str:
         """The file set owning ``path`` (deepest enclosing root)."""
         norm = paths.normalize(path)
-        for name, root in self._ordered:
-            if paths.is_ancestor(root, norm):
+        fileset_at = self._fileset_at
+        # Probe "/a/b", then "/a", then "/" ("" stands for the root).
+        prefix = norm
+        while True:
+            name = fileset_at.get(prefix or paths.ROOT)
+            if name is not None:
                 return name
-        raise FSError(f"{path!r} is outside every file set")
+            if len(prefix) <= 1:
+                raise FSError(f"{path!r} is outside every file set")
+            prefix = prefix[: prefix.rfind("/")]
 
     def relative(self, fileset: str, path: str) -> str:
         """``path`` relative to the file set's root, as an absolute path
         within the file-set namespace."""
         root = self.root_of(fileset)
-        comps = paths.components(path)
-        root_comps = paths.components(root)
-        if comps[: len(root_comps)] != root_comps:
+        norm = paths.normalize(path)
+        if root == paths.ROOT:
+            return norm
+        if norm == root:
+            return paths.ROOT
+        if not norm.startswith(root + "/"):
             raise FSError(f"{path!r} is not inside file set {fileset!r}")
-        rest = comps[len(root_comps):]
-        return paths.ROOT + "/".join(rest) if rest else paths.ROOT
+        return norm[len(root):]
 
 
 class MetadataCluster:
@@ -111,6 +130,9 @@ class MetadataCluster:
         self.tuner = DelegateTuner(tuning)
         self.ledger = MovementLedger()
         self._previous_reports: Sequence[ServerReport] | None = None
+        #: Lock state of file sets a graceful drain released, held until
+        #: the re-placement hands each file set to its new owner.
+        self._drained_locks: dict[str, dict[str, PathLocks]] = {}
         # Format every file set and hand it to its initial owner.
         for fileset in self.registry.filesets:
             self.disk.format_fileset(Namespace(fileset))
@@ -125,11 +147,12 @@ class MetadataCluster:
     def _apply_assignment(self, new: Mapping[str, str], now: float = 0.0) -> int:
         diff = diff_assignment(self._ownership, new)
         for move in diff.moves:
+            locks = self._drained_locks.pop(move.fileset, None)
             if move.source is not None:
                 source = self.services.get(move.source)
                 if source is not None and source.owns(move.fileset):
-                    source.release_fileset(move.fileset, now=now)
-            self.services[move.destination].acquire_fileset(move.fileset)
+                    locks = source.release_fileset(move.fileset, now=now)
+            self.services[move.destination].acquire_fileset(move.fileset, locks)
         self._ownership = dict(new)
         if diff.total:
             self.ledger.record(diff)
@@ -147,6 +170,10 @@ class MetadataCluster:
     ) -> bool:
         """Move one file set's image to ``destination`` over the shared disk.
 
+        The file set's lock state moves with it: clients reassert their
+        locks with the new owner, so a lock taken before the move can be
+        released after it.
+
         Returns True when an image actually moved.  Asynchronous drivers
         schedule moves with a delay, so the full :meth:`check_consistency`
         (which also demands placement agreement) may legitimately not hold
@@ -156,8 +183,8 @@ class MetadataCluster:
         source = self.owner_of(fileset)
         if source == destination:
             return False
-        self.services[source].release_fileset(fileset, now=now)
-        self.services[destination].acquire_fileset(fileset)
+        locks = self.services[source].release_fileset(fileset, now=now)
+        self.services[destination].acquire_fileset(fileset, locks)
         self._ownership[fileset] = destination
         return True
 
@@ -317,11 +344,16 @@ class MetadataCluster:
         "membership primitive broke service referential integrity",
     )
     def drain_server(self, server: str, now: Seconds) -> None:
-        """Graceful: flush every namespace, release ownership cleanly."""
+        """Graceful: flush every namespace, release ownership cleanly.
+
+        The released lock state waits in ``_drained_locks`` until the
+        re-placement hands each file set to its new owner."""
         service = self.services[server]
         service.flush_all(now=now)
         for fileset in service.owned_filesets():
-            service.release_fileset(fileset, now=now)
+            self._drained_locks[fileset] = service.release_fileset(
+                fileset, now=now
+            )
         del self.services[server]
         self.placement.remove_server(server)
         self._ownership = {

@@ -11,8 +11,10 @@ implements that lock table:
 - client failure recovery: :meth:`LockManager.release_client` drops every
   lock and queued request of a failed session and promotes waiters;
 - the lock table is part of the file set's volatile server state — it is
-  *not* written to the shared disk, so file-set moves implicitly discard
-  it (clients re-acquire, which is how Storage Tank recovery behaves).
+  *not* written to the shared disk.  When a file set changes owner its
+  clients reassert their locks with the new owner, modelled by
+  :meth:`LockManager.detach` on the old owner and :meth:`LockManager.attach`
+  on the new one; a server crash loses the table.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Mapping
 
 
 class LockError(Exception):
@@ -32,7 +35,7 @@ class LockMode(enum.Enum):
 
 
 @dataclass
-class _PathLocks:
+class PathLocks:
     """Lock state for one path."""
 
     holders: dict[str, LockMode] = field(default_factory=dict)
@@ -51,7 +54,7 @@ class LockManager:
     """Lock table for the file sets one server currently owns."""
 
     def __init__(self) -> None:
-        self._table: dict[str, _PathLocks] = {}
+        self._table: dict[str, PathLocks] = {}
         self.grants = 0
         self.waits = 0
 
@@ -63,7 +66,7 @@ class LockManager:
         Upgrades (shared -> exclusive by the sole holder) are granted
         immediately; otherwise the request queues FIFO.
         """
-        state = self._table.setdefault(path, _PathLocks())
+        state = self._table.setdefault(path, PathLocks())
         held = state.holders.get(client)
         if held is mode:
             return True
@@ -77,7 +80,7 @@ class LockManager:
         self.waits += 1
         return False
 
-    def _grantable(self, state: _PathLocks, client: str, mode: LockMode) -> bool:
+    def _grantable(self, state: PathLocks, client: str, mode: LockMode) -> bool:
         others = {c: m for c, m in state.holders.items() if c != client}
         if mode is LockMode.EXCLUSIVE:
             return not others and not state.waiters
@@ -100,7 +103,7 @@ class LockManager:
             del self._table[path]
         return promoted
 
-    def _promote(self, state: _PathLocks) -> list[tuple[str, LockMode]]:
+    def _promote(self, state: PathLocks) -> list[tuple[str, LockMode]]:
         promoted: list[tuple[str, LockMode]] = []
         while state.waiters:
             client, mode = state.waiters[0]
@@ -136,6 +139,25 @@ class LockManager:
             if not state.holders and not state.waiters:
                 del self._table[path]
         return all_promoted
+
+    # ------------------------------------------------------------------
+    def detach(self, prefix: str) -> dict[str, PathLocks]:
+        """Remove and return the holders and waiters of every key that
+        starts with ``prefix`` (one file set's ``"<fileset>:"`` keys)."""
+        detached = {
+            key: state for key, state in self._table.items()
+            if key.startswith(prefix)
+        }
+        for key in detached:
+            del self._table[key]
+        return detached
+
+    def attach(self, table: Mapping[str, PathLocks]) -> None:
+        """Install lock state that :meth:`detach` took from another table."""
+        for key, state in table.items():
+            if key in self._table:
+                raise LockError(f"lock state for {key!r} already present")
+            self._table[key] = state
 
     # ------------------------------------------------------------------
     def holders(self, path: str) -> dict[str, LockMode]:

@@ -6,10 +6,12 @@ owns, plus the lock table.  Ownership changes via the shared disk:
 
 - :meth:`release_fileset` — flush the namespace image and forget it (the
   paper's "the shedding server flushes its cache with respect to shed file
-  sets to create a consistent disk image"); the lock table for the file
-  set is volatile and is discarded (clients re-acquire);
+  sets to create a consistent disk image"); the file set's lock state is
+  volatile and is handed back to the caller;
 - :meth:`acquire_fileset` — load the image from the shared disk ("the new
-  server initializes the file set").
+  server initializes the file set") and install the handed-over lock
+  state, modelling clients that reassert their locks with the new owner.
+  A crash loses the lock table.
 
 Operations on file sets this server does not own fail with
 ``not-owner`` — the routing layer (:mod:`repro.fs.cluster`) is responsible
@@ -18,9 +20,11 @@ for sending operations to the right server by hashing.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from . import paths
 from .disk import SharedDisk
-from .locks import LockError, LockManager, LockMode
+from .locks import LockError, LockManager, LockMode, PathLocks
 from .namespace import FSError, Namespace
 from .ops import Operation, OpResult, OpType
 from .paths import PathError
@@ -48,19 +52,30 @@ class MetadataService:
         """True when this server owns ``fileset``."""
         return fileset in self._owned
 
-    def acquire_fileset(self, fileset: str) -> None:
-        """Initialize a gained file set from its shared-disk image."""
+    def acquire_fileset(
+        self, fileset: str, locks: Mapping[str, PathLocks] | None = None
+    ) -> None:
+        """Initialize a gained file set from its shared-disk image and
+        install the lock state the previous owner released."""
         if fileset in self._owned:
             raise FSError(f"{self.name}: already owns {fileset!r}")
         self._owned[fileset] = self.disk.load(fileset)
+        if locks:
+            self.locks.attach(locks)
 
-    def release_fileset(self, fileset: str, now: float = 0.0) -> None:
-        """Flush and forget a shed file set (consistent disk image)."""
+    def release_fileset(
+        self, fileset: str, now: float = 0.0
+    ) -> dict[str, PathLocks]:
+        """Flush and forget a shed file set (consistent disk image).
+
+        Returns the file set's lock state for :meth:`acquire_fileset` on
+        the new owner."""
         namespace = self._owned.get(fileset)
         if namespace is None:
             raise FSError(f"{self.name}: does not own {fileset!r}")
         self.disk.flush(namespace, server=self.name, now=now)
         del self._owned[fileset]
+        return self.locks.detach(f"{fileset}:")
 
     def crash(self) -> list[str]:
         """Server failure: in-memory state is lost *without* flushing.

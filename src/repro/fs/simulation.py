@@ -213,46 +213,50 @@ class FullSystemSimulation:
         fileset = self.cluster.registry.fileset_of(op.path)
         owner = self.cluster.owner_of(fileset)
         slot, server = self._pick_server(fileset, owner)
-        speed = self.config.server_speeds[server]
         cost = self.config.mean_op_cost * op.op.weight / MEAN_WEIGHT
+        service_time = cost / self.config.server_speeds[server]
         arrival = self.engine.now
         sink = self.telemetry
         if sink.enabled:
             sink.emit(RequestArrived(time=arrival, fileset=fileset, cost=cost))
-
-        def _serve() -> None:
-            # Execute on whoever owns the file set NOW — ownership may have
-            # moved while the op queued; the shared-disk image moved with
-            # it, so execution remains correct either way.  The op queues
-            # and is timed at the routed replica, but semantically executes
-            # through the authoritative owner (ownership fencing).
-            result = self._execute(op)
-            wait = max(self.engine.now - arrival - cost / speed, 0.0)
-            if self.router.observes:
-                self.router.observe(server, self.engine.now - arrival)
-            self.collector.record(server, self.engine.now, wait)
-            self.completed[server] += 1
-            if result.ok:
-                self.ops_completed += 1
-            else:
-                self.ops_failed += 1
-                self.failures.append((op, result.error or "?"))
-            if sink.enabled:
-                sink.emit(
-                    RequestCompleted(
-                        time=self.engine.now, server=server, latency=wait
-                    )
-                )
-
-        self.facilities[server].request(cost / speed, _serve)
+        self.facilities[server].request(
+            service_time, self._complete, op, server, arrival, service_time
+        )
         if sink.enabled:
             sink.emit(
                 RequestDispatched(
                     time=arrival, fileset=fileset, server=server,
-                    service_time=cost / speed,
+                    service_time=service_time,
                     router=self.router.name, replica=slot,
                 )
             )
+
+    def _complete(
+        self, op: Operation, server: str, arrival: float, service_time: float
+    ) -> None:
+        """Service finished: execute ``op`` and account its wait.
+
+        Executes on whoever owns the file set NOW — ownership may have
+        moved while the op queued; the shared-disk image moved with it,
+        so execution remains correct either way.  The op queues and is
+        timed at the routed replica, but semantically executes through
+        the authoritative owner (ownership fencing).
+        """
+        result = self._execute(op)
+        now = self.engine.now
+        wait = max(now - arrival - service_time, 0.0)
+        if self.router.observes:
+            self.router.observe(server, now - arrival)
+        self.collector.record(server, now, wait)
+        self.completed[server] += 1
+        if result.ok:
+            self.ops_completed += 1
+        else:
+            self.ops_failed += 1
+            self.failures.append((op, result.error or "?"))
+        sink = self.telemetry
+        if sink.enabled:
+            sink.emit(RequestCompleted(time=now, server=server, latency=wait))
 
     def _pick_server(self, fileset: str, owner: str) -> tuple[int, str]:
         """The (slot, server) that serves this operation.

@@ -127,3 +127,30 @@ def test_empty_operation_stream():
     result = sim.run()
     assert result.ops_completed == 0
     assert result.moves_completed == 0
+
+
+def test_unlock_after_move_seed44_regression():
+    """Seed 44 of the 24-root, 5-server benchmark stream: a tuning move
+    lands between the paired LOCK and UNLOCK of ``/p10/d03/f001`` (UNLOCK
+    at t=127.36).  The lock moves with its file set, so the UNLOCK
+    succeeds.  The first 150 s of the stream reproduce the case."""
+    roots = {f"fs{i:02d}": f"/p{i:02d}" for i in range(24)}
+    speeds = {f"server{i}": float(s) for i, s in enumerate((1, 3, 5, 7, 9))}
+    workload = FsWorkloadConfig(
+        n_operations=37_000, duration=3_700.0, popularity_skew=0.0, seed=44
+    )
+    ops = [
+        op for op in generate_operations(MetadataCluster(["gen"], roots), workload)
+        if op.time <= 150.0
+    ]
+    assert any(
+        op.op.name == "UNLOCK" and op.path == "/p10/d03/f001" for op in ops
+    )
+    sim = FullSystemSimulation(
+        FullSystemConfig(server_speeds=speeds, fileset_roots=roots, seed=44), ops
+    )
+    populate(sim.cluster, workload)
+    result = sim.run()
+    assert result.moves_completed > 0
+    assert result.ops_failed == 0, result.failures
+    sim.cluster.check_consistency()
