@@ -1,10 +1,12 @@
 """Shared helpers for the benchmark suite.
 
-Benchmarks run the paper's experiments at full published scale by default;
-set ``REPRO_BENCH_QUICK=1`` to run the same shapes at reduced scale (CI).
-Each figure bench prints the series/rows the paper's figure plots, so
-``pytest benchmarks/ --benchmark-only`` output doubles as the reproduction
-record (EXPERIMENTS.md quotes it).
+Benchmarks run at full published scale by default; set
+``REPRO_BENCH_QUICK=1`` to run the same shapes at reduced scale (CI).
+Each ablation bench prints the rows it measures, so ``pytest benchmarks/
+--benchmark-only`` output doubles as the record EXPERIMENTS.md's ablation
+table quotes.  The paper's figure claims are tier-1 tests
+(``tests/test_paper_claims.py``); the figure tables print through
+``repro-experiments figN`` and ``repro-experiments scale``.
 """
 
 from __future__ import annotations
@@ -16,16 +18,9 @@ import os
 # This must run before any ``repro`` import, which is why it lives here.
 os.environ.setdefault("REPRO_CONTRACTS", "off")
 
-import pytest
-
 
 def quick_mode() -> bool:
     return os.environ.get("REPRO_BENCH_QUICK", "") == "1"
-
-
-@pytest.fixture(scope="session")
-def quick() -> bool:
-    return quick_mode()
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -220,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, path in selected.items():
         print(f"== suite {name} ({path.name}) ==")
         try:
-            results = run_suite(path, config, quick=args.quick)
+            results = run_suite(path, config)
         except DiscoveryError as exc:
             print(f"repro-bench: {exc}", file=sys.stderr)
             return 2

@@ -1,8 +1,8 @@
 """Discovery and execution of the ``benchmarks/bench_*.py`` suites.
 
 The benchmark suites are plain pytest-style modules: functions named
-``test_*`` taking a ``benchmark`` fixture (and, for the figure suites, a
-``quick`` flag), optionally stacked with ``@pytest.mark.parametrize``.
+``test_*`` taking a ``benchmark`` fixture, optionally stacked with
+``@pytest.mark.parametrize``.
 This module loads those files *without* pytest: it imports each suite by
 path, expands parametrize marks into concrete cases, and injects a
 :class:`repro.bench.timing.BenchTimer` for the ``benchmark`` parameter —
@@ -39,7 +39,7 @@ DEFAULT_SUITES = (
 )
 
 #: Fixture names the runner can inject, beyond parametrized arguments.
-_INJECTABLE = ("benchmark", "quick")
+_INJECTABLE = ("benchmark",)
 
 
 class DiscoveryError(RuntimeError):
@@ -169,9 +169,7 @@ def collect_cases(module: ModuleType) -> list[BenchCase]:
     return cases
 
 
-def run_case(
-    case: BenchCase, config: TimerConfig, quick: bool
-) -> CaseResult:
+def run_case(case: BenchCase, config: TimerConfig) -> CaseResult:
     """Execute one case with an injected timer; returns its statistics."""
     timer = BenchTimer(config)
     kwargs: dict[str, Any] = dict(case.params)
@@ -181,8 +179,6 @@ def run_case(
             continue
         if param.name == "benchmark":
             kwargs[param.name] = timer
-        elif param.name == "quick":
-            kwargs[param.name] = quick
         elif param.default is inspect.Parameter.empty:
             raise DiscoveryError(
                 f"{case.name}: cannot inject fixture {param.name!r} "
@@ -201,9 +197,7 @@ def run_case(
     )
 
 
-def run_suite(
-    path: Path, config: TimerConfig, quick: bool = False
-) -> list[CaseResult]:
+def run_suite(path: Path, config: TimerConfig) -> list[CaseResult]:
     """Load one suite file and run every case it defines."""
     module = load_suite_module(path)
-    return [run_case(case, config, quick) for case in collect_cases(module)]
+    return [run_case(case, config) for case in collect_cases(module)]

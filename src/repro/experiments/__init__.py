@@ -1,5 +1,5 @@
 """Experiment harness: configs, runner, figure reproductions, reporting,
-multi-seed replication, CSV export, and the scale study."""
+CSV export, and the scale study."""
 
 from .config import FIGURES, ExperimentConfig
 from .export import export_experiment, write_series_csv, write_summary_csv
@@ -10,12 +10,6 @@ from .planner import (
     PlanReport,
     evaluate_candidate,
     plan_capacity,
-)
-from .replication import (
-    MetricSummary,
-    ReplicationResult,
-    replicate,
-    replication_table,
 )
 from .scale import ScalePoint, measure_scale_point, scale_study, scale_table
 from .figures import (
@@ -57,10 +51,6 @@ __all__ = [
     "export_experiment",
     "write_series_csv",
     "write_summary_csv",
-    "replicate",
-    "replication_table",
-    "ReplicationResult",
-    "MetricSummary",
     "scale_study",
     "scale_table",
     "measure_scale_point",

@@ -57,10 +57,6 @@ SUITE_SOURCE = textwrap.dedent(
     def test_param(benchmark, n):
         result = benchmark(sum, range(n))
         benchmark.extra_info["n"] = n
-
-    def test_quick_flag(benchmark, quick):
-        benchmark.pedantic(lambda: quick, rounds=1)
-        benchmark.extra_info["quick"] = quick
     """
 )
 
@@ -172,19 +168,16 @@ def test_collect_cases_expands_parametrize(fake_repo: Path):
         "test_plain",
         "test_param[n=2]",
         "test_param[n=4]",
-        "test_quick_flag",
     ]
 
 
 def test_run_case_injects_fixtures(fake_repo: Path):
     module = load_suite_module(fake_repo / "benchmarks" / "bench_toy.py")
     cases = {c.name: c for c in collect_cases(module)}
-    result = run_case(cases["test_param[n=4]"], FAST, quick=False)
+    result = run_case(cases["test_param[n=4]"], FAST)
     assert result.params == {"n": 4}
     assert result.extra_info == {"n": 4}
     assert result.stats["rounds"] == FAST.rounds
-    quick_result = run_case(cases["test_quick_flag"], FAST, quick=True)
-    assert quick_result.extra_info == {"quick": True}
 
 
 def test_run_case_rejects_unknown_fixture(fake_repo: Path):
@@ -194,7 +187,7 @@ def test_run_case_rejects_unknown_fixture(fake_repo: Path):
     )
     module = load_suite_module(bench_dir / "bench_bad.py")
     with pytest.raises(DiscoveryError, match="database"):
-        run_case(collect_cases(module)[0], FAST, quick=False)
+        run_case(collect_cases(module)[0], FAST)
 
 
 def test_run_case_requires_timer_use(fake_repo: Path):
@@ -204,12 +197,12 @@ def test_run_case_requires_timer_use(fake_repo: Path):
     )
     module = load_suite_module(bench_dir / "bench_lazy.py")
     with pytest.raises(DiscoveryError, match="never invoked"):
-        run_case(collect_cases(module)[0], FAST, quick=False)
+        run_case(collect_cases(module)[0], FAST)
 
 
 def test_run_suite_end_to_end(fake_repo: Path):
     results = run_suite(fake_repo / "benchmarks" / "bench_toy.py", FAST)
-    assert len(results) == 4
+    assert len(results) == 3
     assert all(r.stats["median_ns"] > 0 for r in results)
 
 
@@ -330,7 +323,7 @@ def test_cli_writes_reports_and_skips_gate_without_baseline(
     assert "gate skipped" in out
     document = load_document(fake_repo / "BENCH_toy.json")
     assert document["suite"] == "toy"
-    assert len(document["results"]) == 4
+    assert len(document["results"]) == 3
 
 
 def test_cli_creates_missing_output_dir(fake_repo: Path, capsys):

@@ -35,7 +35,7 @@ def test_unknown_experiment_errors():
         main(["fig99"])
 
 
-def test_quick_simulation_runs(capsys):
+def test_quick_simulation_runs(capsys, cli_reads_paper_runs):
     assert main(["fig9", "--quick", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "prescient" in out and "anu" in out

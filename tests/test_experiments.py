@@ -1,14 +1,18 @@
-"""Tests for the experiment harness: configs, runner, demos, reporting."""
+"""Tests for the experiment harness: configs, runner, Figure 3 demo, reporting.
+
+The figure claims, with the paper's bounds, live in test_paper_claims.py."""
 
 import pytest
 
-from repro.experiments.config import FIGURES, figure6, figure8, figure10, figure11
-from repro.experiments.figures import (
-    figure3_demo,
-    figure4_demo,
-    figure5_demo,
-    run_figure,
+from repro.experiments.config import (
+    FIGURES,
+    figure6,
+    figure7,
+    figure8,
+    figure10,
+    figure11,
 )
+from repro.experiments.figures import figure3_demo, run_figure
 from repro.experiments.report import (
     comparison_table,
     interval_bar,
@@ -111,7 +115,7 @@ def test_run_policy_smoke():
 
 
 # ----------------------------------------------------------------------
-# Figure 3/4/5 demos
+# Figure 3 demo
 # ----------------------------------------------------------------------
 def test_figure3_fast_servers_end_with_more_load():
     demo = figure3_demo()
@@ -129,23 +133,6 @@ def test_figure3_fast_regions_grow():
     assert fast_share > slow_share
 
 
-def test_figure4_balances_skewed_workload():
-    demo = figure4_demo()
-    # Indivisible skewed file sets cannot be balanced exactly (the paper's
-    # §6 point); tuning must still clearly improve on the initial state.
-    assert demo.final_latency_spread < demo.initial_latency_spread
-    assert demo.final_latency_spread < 2.5
-    demo.placement.check_invariants()
-
-
-def test_figure5_repartition_properties():
-    rep = figure5_demo()
-    assert rep.partitions_after >= rep.partitions_before
-    assert rep.boundaries_preserved
-    assert rep.free_partitions_after >= 1
-    assert "server5" in rep.after
-
-
 # ----------------------------------------------------------------------
 # run_figure (quick)
 # ----------------------------------------------------------------------
@@ -154,11 +141,12 @@ def test_run_figure_unknown_id():
         run_figure("fig99")
 
 
-def test_run_figure_quick_fig7_shapes():
-    config, results = run_figure("fig7", quick=True)
-    assert set(results) == {"prescient", "anu"}
-    for res in results.values():
-        assert res.total_requests == config.dfstrace.n_requests
+def test_run_figure_quick_fig7_shapes(paper_runs):
+    config = figure7(quick=True)
+    results = paper_runs(0).dfstrace
+    assert set(results) == set(figure6(quick=True).policies)
+    for policy in config.policies:
+        assert results[policy].total_requests == config.dfstrace.n_requests
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for replication, CSV export, the scale study, and new CLI paths."""
+"""Tests for CSV export, the scale study, and new CLI paths."""
 
 import csv
 
@@ -11,72 +11,9 @@ from repro.experiments.export import (
     write_series_csv,
     write_summary_csv,
 )
-from repro.experiments.replication import (
-    MetricSummary,
-    replicate,
-    replication_table,
-)
 from repro.experiments.runner import generate_trace, run_policy
 from repro.experiments.scale import measure_scale_point, scale_study, scale_table
 from repro.workloads import SyntheticConfig
-
-
-def tiny_config(seed: int):
-    from dataclasses import replace
-
-    cfg = figure8(quick=True, seed=seed)
-    # Long enough that the steady-state metric (last 10 windows) is past
-    # ANU's convergence transient.
-    workload = replace(cfg.synthetic, n_filesets=40, n_requests=10_000,
-                       duration=2_000.0)
-    return replace(cfg, synthetic=workload,
-                   policies=("round-robin", "anu"))
-
-
-# ----------------------------------------------------------------------
-# MetricSummary / replicate
-# ----------------------------------------------------------------------
-def test_metric_summary_statistics():
-    s = MetricSummary.of([1.0, 2.0, 3.0])
-    assert s.mean == pytest.approx(2.0)
-    assert s.std == pytest.approx(1.0)
-    assert s.ci95 > 0
-    assert s.values == (1.0, 2.0, 3.0)
-    with pytest.raises(ValueError):
-        MetricSummary.of([])
-
-
-def test_metric_summary_single_value():
-    s = MetricSummary.of([5.0])
-    assert s.mean == 5.0
-    assert s.std == 0.0
-    assert s.ci95 == float("inf")
-
-
-def test_replicate_runs_all_seeds_and_policies():
-    result = replicate(tiny_config, seeds=[0, 1])
-    assert result.seeds == (0, 1)
-    assert set(result.summaries) == {"round-robin", "anu"}
-    for policy in result.summaries:
-        for metric in ("mean_latency", "steady_worst", "moves", "preservation"):
-            assert len(result.metric(policy, metric).values) == 2
-
-
-def test_replicate_ordering_check():
-    result = replicate(tiny_config, seeds=[0, 1])
-    # ANU's steady state beats static round-robin in every replicate.
-    assert result.ordering_holds("anu", "round-robin", "steady_worst")
-
-
-def test_replicate_empty_seeds_rejected():
-    with pytest.raises(ValueError):
-        replicate(tiny_config, seeds=[])
-
-
-def test_replication_table_renders():
-    result = replicate(tiny_config, seeds=[0])
-    table = replication_table(result)
-    assert "anu" in table and "round-robin" in table
 
 
 # ----------------------------------------------------------------------
@@ -131,12 +68,6 @@ def test_measure_scale_point_metrics():
     assert pt.balance_cov < 0.6
 
 
-def test_scale_study_movement_shrinks_with_n():
-    pts = scale_study(sizes=(5, 20), filesets_per_server=40, seed=2)
-    by_n = {pt.n_servers: pt for pt in pts}
-    assert by_n[20].add_moved_fraction < by_n[5].add_moved_fraction
-
-
 def test_scale_table_renders():
     pts = scale_study(sizes=(5,), filesets_per_server=20)
     table = scale_table(pts)
@@ -152,7 +83,7 @@ def test_cli_scale_quick(capsys):
     assert "Scale study" in out and "probes" in out
 
 
-def test_cli_csv_export(tmp_path, capsys):
+def test_cli_csv_export(tmp_path, capsys, cli_reads_paper_runs):
     assert main(["fig9", "--quick", "--csv", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "CSV" in out
